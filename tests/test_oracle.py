@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from qkig.oracle import (
     gram_rank,
     in_schubert,
     intersect_basis,
+    line_witness,
     membership_suite,
     omega,
     perp_basis,
@@ -257,6 +259,49 @@ def test_membership_suite_n2_all_inside():
     assert rep["failures"] == []
     assert rep["outcomes"]["deg2"]["false"] == 0
     assert rep["outcomes"]["deg3"]["false"] == 0
+
+
+def _rows(obj):
+    if obj is None:
+        return None
+    if isinstance(obj, Plane2):
+        return obj.rows
+    return tuple(_rows(o) for o in obj)
+
+
+def test_seeded_planes_are_pinned():
+    # the canonical rows of every plane the seeded constructions build; a
+    # change of canonical form or of any draw changes the digest
+    from qkig.oracle import _sample_z
+    built = []
+    for n in (2, 3, 4):
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            x, y = general_position_pair(n, rng=rng)
+            built += [(x, y), chain2_through(x, y)]
+            for mode in ("inside", "touch", "generic"):
+                z = _sample_z(n, x, y, mode, rng)
+                built += [z, gamma3_witness(x, y, z),
+                          gamma4_witness(x, y, z, rng=rng)]
+        for u in basis_list(n):
+            for orient in ("standard", "opposite"):
+                built.append(random_point_in_cell(n, u, orientation=orient,
+                                                  seed=n))
+            for v in basis_list(n):
+                built += [richardson_witness(n, u, v, seed=5),
+                          line_witness(n, u, v, seed=5)]
+    x = coordinate_plane(2, 1, 2)
+    y = Plane2(2, [[1, 0, 0, 0], [0, 0, 1, 0]])
+    rng = random.Random(4)
+    for _ in range(10):
+        try:
+            built.append(broken_conic_middle(
+                x, y, random_isotropic_plane(2, rng=rng)))
+        except GeometryError:
+            built.append(None)
+    digest = hashlib.sha256(repr([_rows(b) for b in built]).encode())
+    assert digest.hexdigest() == (
+        "b93834a31329d6afb6ecab071e8f14a82072e93f902ffb14d36ec2925cb86816")
 
 
 def test_gram_rank():
