@@ -35,7 +35,6 @@ from .ring import (
     normalize_extended,
     product_C1,
     product_C2,
-    q_support,
     quantum_chevalley,
     richardson_special_expand,
     seidel,

@@ -1,10 +1,10 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid index pair,
-3 unsupported product family.  JSON output is canonical (sorted keys,
-sorted terms) and byte-stable for deterministic commands.  The default
-seed for randomized suites can be set with the QKIG_SEED environment
-variable; an explicit --seed wins.
+Exit codes: 0 success, 1 verification failure (a failed check, or a suite
+that ran no checks), 2 invalid index pair, 3 unsupported product family.
+JSON output is canonical (sorted keys, sorted terms) and byte-stable for
+deterministic commands.  The default seed for randomized suites can be
+set with the QKIG_SEED environment variable; an explicit --seed wins.
 """
 
 import argparse
@@ -156,32 +156,32 @@ def cmd_richardson_expand(args):
 def cmd_verify(args):
     seed = _default_seed(args)
     reports = verify.run_suite(args.suite, args.n_max, args.trials, seed)
-    total_failures = 0
+    all_ok = True
     for rep in reports:
         n_fail = len(rep["failures"])
-        total_failures += n_fail
-        status = "ok" if n_fail == 0 else "FAIL"
-        print(f"{rep['suite']}: {status} ({rep['checks']} checks, "
-              f"{n_fail} failures, params={rep['params']})")
+        # a suite that ran no checks verified nothing
+        ok = n_fail == 0 and rep["checks"] > 0
+        all_ok = all_ok and ok
+        print(f"{rep['suite']}: {'ok' if ok else 'FAIL'} ({rep['checks']} "
+              f"checks, {n_fail} failures, params={rep['params']})")
         if n_fail:
             print(json.dumps(rep["failures"][:10], sort_keys=True, default=str))
-    return EXIT_OK if total_failures == 0 else EXIT_SUITE_FAILURE
+    return EXIT_OK if all_ok else EXIT_SUITE_FAILURE
 
 
 def cmd_table(args):
     n = args.n
     op_pair = divisor_pair(n) if args.op == "divisor" else seidel_pair(n)
     apply_op = ring.quantum_chevalley if args.op == "divisor" else ring.seidel
-    rows = []
-    for v in basis_list(n):
-        prod = apply_op(n, ring.RingElement.basis(n, v))
-        rows.append({"pair": list(v), "product": prod.to_dict()["terms"]})
+    prods = [(v, apply_op(n, ring.RingElement.basis(n, v)))
+             for v in basis_list(n)]
     if args.format == "json":
+        rows = [{"pair": list(v), "product": prod.to_dict()["terms"]}
+                for v, prod in prods]
         _emit_json({"n": n, "op": args.op, "by": list(op_pair), "rows": rows})
     else:
         a, b = op_pair
-        for v, row in zip(basis_list(n), rows):
-            prod = apply_op(n, ring.RingElement.basis(n, v))
+        for v, prod in prods:
             print(f"O_{{{a},{b}}} * O_{{{v[0]},{v[1]}}} = {prod.to_text()}")
     return EXIT_OK
 
@@ -239,7 +239,6 @@ def build_parser():
     p = add("richardson-expand", cmd_richardson_expand,
             help="basis expansion of the special Richardson class")
     p.add_argument("--p", type=int, required=True)
-    p.set_defaults(json=False)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run the verification suites")

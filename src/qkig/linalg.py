@@ -1,13 +1,12 @@
 """Exact linear algebra over the rationals for small dense matrices.
 
 Matrices are lists of row vectors whose entries are ints or Fractions.
-Ranks are computed fraction-free (Bareiss) on integer-cleared rows; reduced
-echelon forms and nullspaces use exact rational pivoting.  No routine
-mutates its input.
+Every routine clears each row to a primitive integer row and runs one
+fraction-free (Bareiss) elimination kernel, so all results are integer
+rows.  No routine mutates its input.
 """
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def primitive_int_row(row):
@@ -15,145 +14,84 @@ def primitive_int_row(row):
 
     Returns a tuple of ints; the zero row maps to itself.
     """
-    if all(isinstance(x, int) for x in row):
-        ints = list(row)
-    else:
-        fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fracs:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        ints = [int(x * lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def _echelon(rows, reduce=False):
+    """Fraction-free echelon form of the integer-cleared nonzero rows.
+
+    Returns the echelon rows (lists of ints) and their pivot columns.  Every
+    update divides exactly by the previous pivot (Bareiss), so entries stay
+    minors of the cleared matrix.  With ``reduce`` the updates also clear
+    the entries above each pivot; every pivot entry then equals the last
+    pivot, and the rows are the reduced echelon form times that pivot.
+    """
+    m = [list(r) for r in map(primitive_int_row, rows) if any(r)]
+    pivots = []
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        rk = len(pivots)
+        piv = next((r for r in range(rk, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        top = m[rk]
+        p = top[col]
+        for r in range(0 if reduce else rk + 1, len(m)):
+            if r != rk:
+                f = m[r][col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return tuple(ints)
+    return m[:len(pivots)], pivots
 
 
 def rank(rows):
-    """Rank of a matrix, via fraction-free elimination on integer-cleared rows."""
-    m = [list(primitive_int_row(r)) for r in rows]
-    m = [r for r in m if any(r)]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rk = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rk, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        for r in range(rk + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[r][c] * m[rk][col] - m[r][col] * m[rk][c]) // prev
-            m[r][col] = 0
-        prev = m[rk][col]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
+    """Rank of a matrix."""
+    return len(_echelon(rows)[1])
 
 
 def row_basis(rows):
-    """Primitive integer basis of the row space, via fraction-free elimination."""
-    m = [list(primitive_int_row(r)) for r in rows]
-    m = [r for r in m if any(r)]
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    rk = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rk, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        for r in range(rk + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[r][c] * m[rk][col] - m[r][col] * m[rk][c]) // prev
-            m[r][col] = 0
-        prev = m[rk][col]
-        rk += 1
-        if rk == nrows:
-            break
-    return [primitive_int_row(m[i]) for i in range(rk)]
+    """Primitive integer basis of the row space, in echelon form."""
+    return [primitive_int_row(r) for r in _echelon(rows)[0]]
 
 
 def rref(rows):
-    """Reduced row echelon form; returns the nonzero rows as Fraction tuples.
+    """Reduced row echelon form; returns the nonzero rows, each scaled to a
+    primitive integer row (its pivot is then its first nonzero, positive).
 
     Canonical for the row space: two matrices have equal row spaces iff their
     rrefs are equal.
     """
-    m = [[Fraction(x) for x in r] for r in rows]
-    m = [r for r in m if any(r)]
-    if not m:
-        return ()
-    nrows, ncols = len(m), len(m[0])
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rk, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        inv = m[rk][col]
-        m[rk] = [x / inv for x in m[rk]]
-        for r in range(nrows):
-            if r != rk and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
-        rk += 1
-        if rk == nrows:
-            break
-    return tuple(tuple(r) for r in m[:rk])
+    return tuple(primitive_int_row(r) for r in _echelon(rows, reduce=True)[0])
 
 
 def nullspace(rows, ncols=None):
-    """Basis of { x : M x = 0 } for the matrix M with the given rows."""
+    """Basis of { x : M x = 0 }: one primitive integer vector per free column."""
     rows = list(rows)
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
-        return [tuple(Fraction(int(i == j)) for j in range(ncols))
-                for i in range(ncols)]
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     ncols = len(rows[0])
-    red = rref(rows)
-    pivots = []
-    for r in red:
-        for j, x in enumerate(r):
-            if x != 0:
-                pivots.append(j)
-                break
-    pivot_set = set(pivots)
+    red, pivots = _echelon(rows, reduce=True)
+    d = red[0][pivots[0]] if red else 1  # the common pivot entry
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = d
         for r, pj in zip(red, pivots):
             vec[pj] = -r[free]
-        basis.append(tuple(vec))
+        basis.append(primitive_int_row(vec))
     return basis
 
 
@@ -165,23 +103,19 @@ def stack(*row_groups):
 
 
 def intersect_rowspaces(rows_a, rows_b):
-    """Basis of the intersection of the two row spaces."""
-    a = [tuple(r) for r in rows_a]
-    b = [tuple(r) for r in rows_b]
+    """Basis of the intersection of the two row spaces, as an rref."""
+    a = [primitive_int_row(r) for r in rows_a]
+    b = [primitive_int_row(r) for r in rows_b]
     if not a or not b:
         return []
-    ncols = len(a[0])
-    both = a + b
-    # coefficient vectors c with sum_i c_i * both_i = 0
-    transposed = [[both[i][j] for i in range(len(both))] for j in range(ncols)]
+    # coefficient vectors c with sum_i c_i * (a + b)_i = 0
+    transposed = [list(col) for col in zip(*(a + b))]
     vecs = []
-    for c in nullspace(transposed, ncols=len(both)):
-        v = [Fraction(0)] * ncols
-        for ci, row in zip(c[:len(a)], a):
-            if ci:
-                v = [x + ci * y for x, y in zip(v, row)]
+    for c in nullspace(transposed, ncols=len(a) + len(b)):
+        # zip stops at len(a): sum_i c_i * a_i, column by column
+        v = [sum(ci * x for ci, x in zip(c, col)) for col in zip(*a)]
         if any(v):
-            vecs.append(tuple(v))
+            vecs.append(v)
     return list(rref(vecs))
 
 

@@ -1,8 +1,9 @@
 """Exact symplectic linear algebra: sampling, witnesses and ground truth.
 
-Points of IG(2, 2n) are rank-2 row spaces of 2 x 2n rational matrices,
+Points of IG(2, 2n) are rank-2 row spaces of 2 x 2n integer matrices,
 stored in a canonical primitive-integer form.  Every arithmetic step is
-exact; ranks come from fraction-free elimination.  The constructions mirror
+exact integer arithmetic; ranks, meets and orthogonals come from the
+fraction-free elimination of ``linalg``.  The constructions mirror
 the curve-chain arguments behind the closed formulas: two-line chains
 through general points, degree-3 witnesses, broken-conic middle points,
 Richardson points built from flag intersections.  Each constructed witness
@@ -12,14 +13,12 @@ Randomness is always seeded; suite reports embed the seed for exact replay.
 """
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (
     in_rowspace,
     intersect_rowspaces,
     nullspace,
-    primitive_int_row,
     rank,
     row_basis,
     rref,
@@ -56,7 +55,7 @@ def omega_dual(n, u):
 def perp_basis(n, rows):
     """Basis of the omega-orthogonal of the span of ``rows``."""
     mat = [omega_dual(n, r) for r in rows]
-    return [primitive_int_row(v) for v in nullspace(mat, ncols=2 * n)]
+    return nullspace(mat, ncols=2 * n)
 
 
 class Plane2:
@@ -79,7 +78,7 @@ class Plane2:
             raise GeometryError(
                 f"rows span a space of dimension {len(reduced)}, need 2")
         self.n = n
-        self.rows = tuple(primitive_int_row(r) for r in reduced)
+        self.rows = reduced
 
     def is_isotropic(self):
         return omega(self.n, self.rows[0], self.rows[1]) == 0
@@ -311,11 +310,11 @@ def gamma3_witness(x, y, z):
     meet = intersect_basis(span, z)
     if not meet:
         return None
-    v = primitive_int_row(meet[0])
+    v = meet[0]
     w = None
     for cand in intersect_rowspaces(span, perp_basis(n, _rows_of(z))):
         if rank([v, cand]) == 2:
-            w = primitive_int_row(cand)
+            w = cand
             break
     if w is None:
         raise GeometryError("no independent direction in the orthogonal slice")
@@ -384,12 +383,12 @@ def broken_conic_middle(x, y, z):
     if gram_rank(n, x, y, z) != 4:
         raise GeometryError("omega is degenerate on the span")
     common = intersect_basis(x, y)
-    v1 = primitive_int_row(common[0])
+    v1 = common[0]
     line = stack(_rows_of(x), _rows_of(y))
     meet = intersect_basis(line, z)
     if len(meet) != 1:
         raise GeometryError("z meets the plane of the line in the wrong dimension")
-    s = primitive_int_row(meet[0])
+    s = meet[0]
     if rank([v1, s]) != 2:
         raise GeometryError("z lies on the line through x and y")
     t = Plane2(n, [v1, s])
@@ -450,16 +449,16 @@ def richardson_witness(n, u, v, seed=None, rng=None):
             b = _random_vector(rng, two_n, support=support2)
         else:
             piv = next(i for i, c in enumerate(pairing) if c != 0)
-            b = [Fraction(0)] * two_n
-            acc = Fraction(0)
+            # scaled by pairing[piv], so omega(a, b) = 0 in integers
+            b = [0] * two_n
+            acc = 0
             for i, k in enumerate(support2):
                 if i == piv:
                     continue
                 coef = rng.randint(-_COORD_BOUND, _COORD_BOUND)
-                b[k - 1] = Fraction(coef)
+                b[k - 1] = coef * pairing[piv]
                 acc += coef * pairing[i]
-            b[support2[piv] - 1] = -acc / pairing[piv]
-            b = list(primitive_int_row(b))
+            b[support2[piv] - 1] = -acc
         if not any(b) or rank([a, b]) != 2:
             continue
         plane = Plane2(n, [a, b])

@@ -395,10 +395,6 @@ def sign_check(element, cu, cv):
     return (not violations, violations)
 
 
-def q_support(element):
-    return element.q_support()
-
-
 def apply_word(n, word, start=None):
     """Fold a word of operators over an element (default: the unit).
 

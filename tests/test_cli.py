@@ -134,6 +134,20 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL" in out and "forged" in out
 
 
+def test_verify_zero_checks_fails(capsys):
+    # a suite that ran no checks verified nothing
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--n-max", "1",
+                                "--trials", "-5"])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 7
+    assert all(": FAIL (0 checks, 0 failures" in line for line in lines)
+    code, out, _ = run(capsys, ["verify", "--suite", "geometry",
+                                "--n-max", "4", "--trials", "0"])
+    assert code == 1
+    assert out.startswith("geometry: FAIL (0 checks, 0 failures")
+
+
 def test_verify_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QKIG_SEED", "123")
     code, out, _ = run(capsys, ["verify", "--suite", "bruhat", "--n-max", "2"])

@@ -1,9 +1,20 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qkig.linalg import primitive_int_row, rank, row_basis, rref
+from qkig.linalg import (
+    in_rowspace,
+    intersect_rowspaces,
+    nullspace,
+    primitive_int_row,
+    rank,
+    row_basis,
+    rref,
+    stack,
+)
 from qkig.oracle import (
     GeometryError,
     Plane2,
@@ -32,16 +43,64 @@ from qkig.oracle import (
 from qkig.pairs import basis_list, bruhat_leq, richardson_nonempty
 
 
+def _reference_rref(rows):
+    """Nonzero rows of the reduced echelon form, by Fraction Gauss-Jordan."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rk = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rk, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        m[rk] = [x / m[rk][col] for x in m[rk]]
+        for r in range(len(m)):
+            f = m[r][col]
+            if r != rk and f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
+        rk += 1
+    return m[:rk]
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-6, 6),
+                     st.fractions(-6, 6, max_denominator=5))
+
+
 def test_linalg_basics():
     assert primitive_int_row([2, 4, -6]) == (1, 2, -3)
     assert primitive_int_row([-2, 4]) == (1, -2)
-    from fractions import Fraction
     assert primitive_int_row([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
+    assert primitive_int_row([0, 0]) == (0, 0)
     assert rank([[1, 0], [0, 1], [1, 1]]) == 2
     assert rank([[0, 0]]) == 0
+    # rref rows are primitive integer rows, rationals included
     assert rref([[2, 2], [1, 1]]) == ((1, 1),)
+    assert rref([[Fraction(1, 2), 0, 1], [0, 3, 1]]) == ((1, 0, 2), (0, 3, 1))
     rows = row_basis([[2, 4, 0], [1, 2, 0], [0, 0, 5]])
     assert len(rows) == 2
+    assert nullspace([[1, 2, 3]]) == [(2, -1, 0), (3, 0, -1)]
+    assert nullspace([], ncols=2) == [(1, 0), (0, 1)]
+    assert intersect_rowspaces([[1, 0, 0], [0, 1, 0]],
+                               [[0, 2, 2], [0, 0, 1]]) == [(0, 1, 0)]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.data())
+def test_linalg_kernel_matches_fraction_reference(data):
+    ncols = data.draw(st.integers(1, 6))
+    matrices = st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                        min_size=1, max_size=5)
+    m, other = data.draw(matrices), data.draw(matrices)
+    ref = _reference_rref(m)
+    assert rank(m) == len(ref)
+    assert rref(m) == tuple(primitive_int_row(r) for r in ref)
+    assert rref(row_basis(m)) == rref(m)
+    kernel = nullspace(m)
+    assert len(kernel) == ncols - len(ref) and rank(kernel) == len(kernel)
+    assert all(sum(x * y for x, y in zip(r, v)) == 0
+               for r in m for v in kernel)
+    meet = intersect_rowspaces(m, other)
+    assert len(meet) == rank(m) + rank(other) - rank(stack(m, other))
+    assert all(in_rowspace(v, m) and in_rowspace(v, other) for v in meet)
 
 
 def test_omega_form():
