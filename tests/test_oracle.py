@@ -83,7 +83,7 @@ def test_linalg_basics():
                                [[0, 2, 2], [0, 0, 1]]) == [(0, 1, 0)]
 
 
-@settings(max_examples=300, derandomize=True)
+@settings(max_examples=200, derandomize=True)
 @given(st.data())
 def test_linalg_kernel_matches_fraction_reference(data):
     ncols = data.draw(st.integers(1, 6))
