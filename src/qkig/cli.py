@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification failure (a failed check, or a suite
-that ran no checks), 2 invalid index pair, 3 unsupported product family.
+that ran no checks), 2 invalid index pair or argument, 3 unsupported
+product family, 4 a geometry sampler ran out of retries.
 JSON output is canonical (sorted keys, sorted terms) and byte-stable for
 deterministic commands.  The default seed for randomized suites can be
 set with the QKIG_SEED environment variable; an explicit --seed wins.
@@ -12,7 +13,7 @@ import json
 import os
 import sys
 
-from . import neighborhoods as nb, ring, verify
+from . import neighborhoods as nb, oracle, ring, verify
 from .pairs import (
     InvalidPairError,
     basis_list,
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_INVALID_PAIR = 2
 EXIT_UNSUPPORTED = 3
+EXIT_SAMPLING = 4
 
 
 def _parse_pair(text):
@@ -196,7 +198,7 @@ def build_parser():
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         p.add_argument("--n", type=int, required=True,
                        help="ambient parameter n >= 2 for IG(2, 2n)")
         return p
@@ -242,7 +244,7 @@ def build_parser():
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, parser=p)
     p.add_argument("--suite", required=True,
                    choices=sorted(verify.SUITES) + ["all"])
     p.add_argument("--n-max", type=int, default=6)
@@ -269,8 +271,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args.parser.print_usage(sys.stderr)
+        print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PAIR
+    except oracle.SamplingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SAMPLING
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import random
 from functools import lru_cache
 
 from .linalg import (
-    in_rowspace,
     intersect_rowspaces,
     nullspace,
     rank,
@@ -109,8 +108,8 @@ def dim_sum(*objs):
 
 
 def dim_intersect(a, b):
-    ra, rb = _rows_of(a), _rows_of(b)
-    return rank(ra) + rank(rb) - rank(stack(ra, rb))
+    da, db = (len(o.rows) if isinstance(o, Plane2) else rank(o) for o in (a, b))
+    return da + db - dim_sum(a, b)
 
 
 def intersect_basis(a, b):
@@ -513,10 +512,10 @@ def line_witness(n, u, v, seed=None, rng=None):
 
 def _conic_certificate(n, x, y, z):
     """z lies on a conic through x and y: all three on the quadric of V_x + V_y."""
-    span = stack(_rows_of(x), _rows_of(y))
+    # gram rank 4 means dim(V_x + V_y) = 4: z lies inside iff adding it keeps 4
     return (gram_rank(n, x, y) == 4
             and z.is_isotropic()
-            and all(in_rowspace(r, span) for r in z.rows))
+            and dim_sum(x, y, z) == 4)
 
 
 def _sample_z(n, x, y, mode, rng):

@@ -81,6 +81,9 @@ def explain_invalid(n, a, b):
 def require_valid(n, pair):
     """Return the pair as a tuple, raising InvalidPairError if not a basis pair."""
     a, b = pair
+    if (type(n) is int and type(a) is int and type(b) is int and n >= 2
+            and 1 <= a < b <= 2 * n and a + b != 2 * n + 1):
+        return (a, b)
     reason = explain_invalid(n, a, b)
     if reason is not None:
         raise InvalidPairError(f"invalid pair ({a},{b}) for n={n}: {reason}")

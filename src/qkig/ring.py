@@ -6,6 +6,8 @@ implemented operators are multiplication by the Schubert divisor O_{2n-2,2n}
 and the two special Richardson products available when the conditions (C1)
 or (C2) on the index pairs hold.  Products outside these families are
 rejected rather than approximated.
+
+Keys are validated once, by the public ``RingElement`` constructor.
 """
 
 from typing import NamedTuple
@@ -48,12 +50,17 @@ def normalize_extended(n, a, b):
     _check_n(n)
     if a >= b:
         raise InvalidPairError(f"extended index needs a < b, got ({a},{b})")
+    return _normalize(n, a, b)
+
+
+def _normalize(n, a, b):
+    """normalize_extended for a trusted n and a < b."""
     period = 2 * n
     shift = 0
     while True:
         if (a + b) % period == 1 % period:
             return NormalizedTerm(shift, None, antidiagonal=True)
-        if is_valid_pair(n, a, b):
+        if 1 <= a < b <= period and a + b != period + 1:
             return NormalizedTerm(shift, (a, b))
         if a <= 0:
             a, b = b, a + period
@@ -71,7 +78,10 @@ def _term_key(item):
 
 
 class RingElement:
-    """Immutable integer combination of q^d * O_{a,b} for a fixed n."""
+    """Immutable integer combination of q^d * O_{a,b} for a fixed n.
+
+    The constructor validates its input; ``_from_valid`` trusts its keys.
+    """
 
     __slots__ = ("n", "_terms")
 
@@ -88,6 +98,13 @@ class RingElement:
             clean[(d, require_valid(n, pair))] = coeff
         self.n = n
         self._terms = clean
+
+    @classmethod
+    def _from_valid(cls, n, terms):
+        """Element on keys already known to be valid; zero terms are dropped."""
+        self = cls.__new__(cls)
+        self.n, self._terms = n, {key: c for key, c in terms.items() if c}
+        return self
 
     @classmethod
     def zero(cls, n):
@@ -113,7 +130,7 @@ class RingElement:
 
     def q_part(self, d):
         """The terms with the exact q-power d (power kept as-is)."""
-        return RingElement(self.n, {k: v for k, v in self._terms.items() if k[0] == d})
+        return self._from_valid(self.n, {k: v for k, v in self._terms.items() if k[0] == d})
 
     def at_q0(self):
         return self.q_part(0)
@@ -123,12 +140,12 @@ class RingElement:
             raise ValueError(f"q-shift must be a nonnegative integer, got {k!r}")
         if k == 0:
             return self
-        return RingElement(self.n, {(d + k, p): c for (d, p), c in self._terms.items()})
+        return self._from_valid(self.n, {(d + k, p): c for (d, p), c in self._terms.items()})
 
     def scale(self, k):
-        if k == 0:
-            return RingElement.zero(self.n)
-        return RingElement(self.n, {key: k * c for key, c in self._terms.items()})
+        if not isinstance(k, int):
+            raise TypeError(f"scalar must be an integer, got {k!r}")
+        return self._from_valid(self.n, {key: k * c for key, c in self._terms.items()})
 
     def _merged(self, other, sign):
         if not isinstance(other, RingElement):
@@ -138,7 +155,7 @@ class RingElement:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + sign * c
-        return RingElement(self.n, out)
+        return self._from_valid(self.n, out)
 
     def __add__(self, other):
         return self._merged(other, 1)
@@ -224,51 +241,56 @@ def _chevalley_raw_cases(n, q1, q2, quantum):
             (-2, (q1 - 2, q2 - 1)), (-2, (q1 - 1, q2 - 2)), (1, (q1 - 2, q2 - 2))]
 
 
-def _classical_chevalley_pair(n, pair):
-    q1, q2 = require_valid(n, pair)
+def _basis_terms(n, terms):
+    """Sum the (coeff, pair) terms whose pair is a basis pair, at q-power 0."""
     out = {}
-    for coeff, (a, b) in _chevalley_raw_cases(n, q1, q2, quantum=False):
+    for coeff, (a, b) in terms:
         if is_valid_pair(n, a, b):
             key = (0, (a, b))
             out[key] = out.get(key, 0) + coeff
-    return RingElement(n, out)
+    return out
+
+
+# The per-pair kernels take a valid pair and return {(shift, pair): coeff}.
+def _classical_chevalley_pair(n, pair):
+    return _basis_terms(n, _chevalley_raw_cases(n, *pair, quantum=False))
 
 
 def _quantum_chevalley_pair(n, pair):
-    q1, q2 = require_valid(n, pair)
+    q1, q2 = pair
     if n == 2 and q1 + q2 == 2 * n + 2:
         # (2, 4) is the only such pair at n = 2 and both sum-(2n+2) special
         # cases collide on it; the six-term list would hit the degenerate
         # index (2, 2).  Its q-part is the two-to-one correction
         # q(O_{2n-2,2n} - 1) on top of the classical product.
-        return _classical_chevalley_pair(n, pair) + RingElement(
-            n, {(1, unit_pair(n)): -1, (1, divisor_pair(n)): 1})
+        return {**_classical_chevalley_pair(n, pair),
+                (1, unit_pair(n)): -1, (1, divisor_pair(n)): 1}
     out = {}
     for coeff, (a, b) in _chevalley_raw_cases(n, q1, q2, quantum=True):
         assert a >= 0, (n, pair, (a, b))
-        nt = normalize_extended(n, a, b)
+        nt = _normalize(n, a, b)
         assert not nt.antidiagonal, (n, pair, (a, b))
-        if nt.pair is None:
-            continue
-        key = (nt.shift, nt.pair)
-        out[key] = out.get(key, 0) + coeff
-    return RingElement(n, out)
+        if nt.pair is not None:
+            key = (nt.shift, nt.pair)
+            out[key] = out.get(key, 0) + coeff
+    return out
 
 
 def _seidel_pair(n, pair):
-    a, b = require_valid(n, pair)
-    nt = normalize_extended(n, a - n, b - n)
+    a, b = pair
+    nt = _normalize(n, a - n, b - n)
     assert nt.pair is not None and not nt.antidiagonal, (n, pair)
-    return RingElement(n, {(nt.shift, nt.pair): 1})
+    return {(nt.shift, nt.pair): 1}
 
 
 def _apply_termwise(pair_op, n, element):
     if element.n != n:
         raise ValueError(f"element has n={element.n}, expected {n}")
-    out = RingElement.zero(n)
-    for (d, pair), coeff in element.sorted_terms():
-        out = out + pair_op(n, pair).times_q(d).scale(coeff)
-    return out
+    out = {}
+    for (d, pair), coeff in element._terms.items():
+        for (shift, image), c in pair_op(n, pair).items():
+            out[d + shift, image] = out.get((d + shift, image), 0) + coeff * c
+    return RingElement._from_valid(n, out)
 
 
 def classical_chevalley(n, element):
@@ -315,12 +337,7 @@ def richardson_special_expand(n, p):
             terms.append((-3, (k, 2 * n - 1 - k)))
         for k in range(1, n - 1):
             terms.append((1, (k, 2 * n - 2 - k)))
-    out = {}
-    for coeff, (a, b) in terms:
-        if is_valid_pair(n, a, b):
-            key = (0, (a, b))
-            out[key] = out.get(key, 0) + coeff
-    return RingElement(n, out)
+    return RingElement(n, _basis_terms(n, terms))
 
 
 def product_C1(n, u, v):

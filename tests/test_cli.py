@@ -60,6 +60,35 @@ def test_invalid_pair_exits_2(capsys):
     code, _, err = run(capsys, ["mul-seidel", "--n", "3", "--pair", "4,3"])
     assert code == 2
     assert "a < b" in err
+    assert err.startswith("error: invalid pair")
+
+
+def test_argument_errors_exit_2_with_usage(capsys):
+    cases = [
+        (["gamma", "--n", "3", "--u", "1,3", "--v", "3,5", "--deg", "0"],
+         "qkig gamma", "degree 0"),
+        (["basis", "--n", "1"], "qkig basis", "n must be an integer >= 2"),
+        (["richardson-expand", "--n", "3", "--p", "9"],
+         "qkig richardson-expand", "p must lie in [1, 2n-1]"),
+    ]
+    for argv, prog, message in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: {prog} [-h] --n N")
+        assert f"\n{prog}: error: {message}" in err
+
+
+def test_sampling_failure_exits_4(capsys, monkeypatch):
+    from qkig import oracle
+
+    def exhausted(n, u, v, seed=None):
+        raise oracle.SamplingError(f"line witness failed for u={u}, v={v}")
+
+    monkeypatch.setattr(oracle, "line_witness", exhausted)
+    code, out, err = run(capsys, ["verify", "--suite", "bruhat",
+                                  "--n-max", "2"])
+    assert code == 4 and out == ""
+    assert err.startswith("error: line witness failed")
 
 
 def test_product_special(capsys):

@@ -12,10 +12,12 @@ from qkig.pairs import (
     dim_schubert,
     dim_space,
     dual_pair,
+    explain_invalid,
     fixed_points,
     is_valid_pair,
     richardson_dim,
     richardson_nonempty,
+    require_valid,
 )
 
 
@@ -26,6 +28,27 @@ def test_is_valid_pair():
     assert not is_valid_pair(3, 3, 3)
     assert not is_valid_pair(3, 0, 4)
     assert not is_valid_pair(3, 2, 7)
+
+
+_index = st.integers(-3, 20) | st.booleans()
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.integers(-1, 9) | st.booleans(), _index, _index)
+def test_require_valid_agrees_with_explain_invalid(n, a, b):
+    try:
+        reason = explain_invalid(n, a, b)
+    except ValueError as exc:  # n itself is invalid
+        with pytest.raises(ValueError) as info:
+            require_valid(n, (a, b))
+        assert str(info.value) == str(exc)
+        return
+    if reason is None:
+        assert require_valid(n, (a, b)) == (a, b)
+    else:
+        with pytest.raises(InvalidPairError) as info:
+            require_valid(n, (a, b))
+        assert str(info.value) == f"invalid pair ({a},{b}) for n={n}: {reason}"
 
 
 def test_delta():

@@ -212,6 +212,13 @@ def test_element_validation_and_canonical_form():
     assert e.to_dict()["terms"][0] == {"q": 0, "pair": [1, 4], "coeff": -2}
     assert e.to_text() == "-2*O_{1,4} + 2*O_{1,5} + O_{2,4} + q*O_{4,6}"
     assert E(3, {(0, (2, 4)): 0}) == E.zero(3)
+    # derived elements skip key validation but not the scalar checks
+    with pytest.raises(TypeError):
+        e.scale(1.5)
+    with pytest.raises(ValueError):
+        e.times_q(-1)
+    with pytest.raises(ValueError):
+        e.times_q(1.5)
 
 
 def test_operators_do_not_mutate_inputs():
@@ -249,3 +256,34 @@ def test_unit_and_divisor_roundtrip():
     n = 4
     assert quantum_chevalley(n, E.unit(n)) == O(n, divisor_pair(n))
     assert unit_pair(n) == (7, 8)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.integers(2, 7), st.data())
+def test_operators_are_termwise_linear(n, data):
+    keys = st.tuples(st.integers(0, 3), st.sampled_from(basis_list(n)))
+    terms = data.draw(st.dictionaries(keys, st.integers(-5, 5), max_size=12))
+    e = E(n, terms)
+    for op in (quantum_chevalley, classical_chevalley, seidel):
+        expected = E.zero(n)
+        for (d, pair), coeff in terms.items():
+            expected = expected + op(n, O(n, pair)).times_q(d).scale(coeff)
+        assert op(n, e) == expected
+
+
+def test_apply_word_does_not_revalidate(monkeypatch):
+    import qkig.ring
+    from qkig.pairs import require_valid
+
+    calls = []
+
+    def counting(n, pair):
+        calls.append(pair)
+        return require_valid(n, pair)
+
+    start = E.unit(6)
+    monkeypatch.setattr(qkig.ring, "require_valid", counting)
+    word = ["divisor", "seidel", "divisor", ("q", 1)] * 6
+    out = apply_word(6, word, start)
+    assert len(word) == 24 and len(out.sorted_terms()) > 1
+    assert calls == []
