@@ -30,12 +30,11 @@ def test_is_valid_pair():
     assert not is_valid_pair(3, 2, 7)
 
 
-_index = st.integers(-3, 20) | st.booleans()
-
-
 @settings(max_examples=500, derandomize=True)
-@given(st.integers(-1, 9) | st.booleans(), _index, _index)
-def test_require_valid_agrees_with_explain_invalid(n, a, b):
+@given(st.integers(-1, 9) | st.booleans(), st.data())
+def test_require_valid_agrees_with_explain_invalid(n, data):
+    index = st.integers(-2, 2 * n + 2) | st.booleans()
+    a, b = data.draw(index), data.draw(index)
     try:
         reason = explain_invalid(n, a, b)
     except ValueError as exc:  # n itself is invalid
