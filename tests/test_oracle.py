@@ -369,3 +369,13 @@ def test_gram_rank():
     assert gram_rank(3, x, y) == 4
     assert gram_rank(3, x) == 0  # isotropic plane
     assert gram_rank(3, x, coordinate_plane(3, 3, 4)) == 2
+
+
+def test_seeded_membership_reports_are_pinned():
+    # the whole seeded report: checks, outcome counts and failure lists
+    import json
+    reports = [membership_suite(n, 5, seed)
+               for n in (2, 3, 4) for seed in (0, 1, 2)]
+    canon = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == (
+        "a49825aa20435ead1d76cd03edbd9c463816a668589198ef3559d793f500eb27")
