@@ -3,7 +3,9 @@
 Matrices are lists of row vectors whose entries are ints or Fractions.
 Every routine clears each row to a primitive integer row and runs one
 fraction-free (Bareiss) elimination kernel, so all results are integer
-rows.  No routine mutates its input.
+rows.  An all-integer row is cleared by dividing it by its gcd; only a row
+that holds a Fraction goes through ``primitive_int_row``.  No routine
+mutates its input.
 """
 
 from math import gcd, lcm
@@ -14,14 +16,17 @@ def primitive_int_row(row):
 
     Returns a tuple of ints; the zero row maps to itself.
     """
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
+    try:
+        g = gcd(*row)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        den = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*row)
     if g == 0:
-        return tuple(ints)
-    if next(x for x in ints if x) < 0:
+        return (0,) * len(row)
+    if next(x for x in row if x) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in row)
 
 
 def _echelon(rows, reduce=False):
@@ -33,7 +38,15 @@ def _echelon(rows, reduce=False):
     the entries above each pivot; every pivot entry then equals the last
     pivot, and the rows are the reduced echelon form times that pivot.
     """
-    m = [list(r) for r in map(primitive_int_row, rows) if any(r)]
+    m = []
+    for r in rows:
+        try:
+            g = gcd(*r)
+        except TypeError:  # a Fraction entry
+            r = primitive_int_row(r)
+            g = gcd(*r)
+        if g:
+            m.append([x // g for x in r] if g != 1 else list(r))
     pivots = []
     prev = 1
     for col in range(len(m[0]) if m else 0):

@@ -14,6 +14,7 @@ Randomness is always seeded; suite reports embed the seed for exact replay.
 
 import random
 from functools import lru_cache
+from operator import mul
 
 from .linalg import (
     intersect_rowspaces,
@@ -39,8 +40,9 @@ class SamplingError(RuntimeError):
 
 def omega(n, u, v):
     """Value of the symplectic form on two coordinate vectors."""
-    return sum(u[i] * v[2 * n - 1 - i] - u[2 * n - 1 - i] * v[i]
-               for i in range(n))
+    # pairs u_i with v_{2n-1-i} for i < n, both factors sliced at C level
+    return (sum(map(mul, u[:n], v[2 * n - 1:n - 1:-1]))
+            - sum(map(mul, u[2 * n - 1:n - 1:-1], v[:n])))
 
 
 def omega_dual(n, u):
@@ -117,8 +119,13 @@ def intersect_basis(a, b):
 
 
 def gram_rank(n, *objs):
-    """Rank of the symplectic form restricted to the span of the arguments."""
-    rows = row_basis(stack(*[_rows_of(o) for o in objs]))
+    """Rank of the symplectic form restricted to the span of the arguments.
+
+    The Gram matrix is built on the stacked rows, dependent ones included:
+    if A = C B with B a basis of the span and C of full column rank, then
+    A Omega A^T = C (B Omega B^T) C^T has the rank of B Omega B^T.
+    """
+    rows = stack(*[_rows_of(o) for o in objs])
     g = [[omega(n, u, v) for v in rows] for u in rows]
     return rank(g)
 
@@ -510,12 +517,11 @@ def line_witness(n, u, v, seed=None, rng=None):
     raise SamplingError(f"line witness failed for u={u}, v={v}, n={n}")
 
 
-def _conic_certificate(n, x, y, z):
+def _conic_certificate(n, x, y, z, ds):
     """z lies on a conic through x and y: all three on the quadric of V_x + V_y."""
-    # gram rank 4 means dim(V_x + V_y) = 4: z lies inside iff adding it keeps 4
-    return (gram_rank(n, x, y) == 4
-            and z.is_isotropic()
-            and dim_sum(x, y, z) == 4)
+    # gram rank 4 means dim(V_x + V_y) = 4: z lies inside iff the caller's
+    # ds = dim_sum(x, y, z) is still 4
+    return gram_rank(n, x, y) == 4 and z.is_isotropic() and ds == 4
 
 
 def _sample_z(n, x, y, mode, rng):
@@ -581,7 +587,7 @@ def membership_suite(n, trials, seed):
             z = _sample_z(n, x, y, mode, rng)
             ds = dim_sum(x, y, z)
             crit2, crit3 = ds <= 4, ds <= 5
-            wit2 = _conic_certificate(n, x, y, z)
+            wit2 = _conic_certificate(n, x, y, z, ds)
             t3 = gamma3_witness(x, y, z)
             wit3 = t3 is not None and verify_gamma3_witness(x, y, z, t3)
             t4 = gamma4_witness(x, y, z, rng=rng)

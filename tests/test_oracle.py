@@ -379,3 +379,69 @@ def test_seeded_membership_reports_are_pinned():
     canon = json.dumps(reports, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canon.encode()).hexdigest() == (
         "a49825aa20435ead1d76cd03edbd9c463816a668589198ef3559d793f500eb27")
+
+
+def _int_matrix(ncols, max_rows=5):
+    return st.lists(st.lists(st.integers(-6, 6), min_size=ncols,
+                             max_size=ncols), min_size=1, max_size=max_rows)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
+def test_gram_rank_ignores_dependent_rows(data):
+    n = data.draw(st.integers(2, 4))
+    rows = data.draw(_int_matrix(2 * n, max_rows=4))
+    # extra rows: integer combinations of the drawn ones
+    for _ in range(data.draw(st.integers(1, 3))):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                    max_size=len(rows)))
+        rows.append([sum(c * r[i] for c, r in zip(coeffs, rows))
+                     for i in range(2 * n)])
+    rows = data.draw(st.permutations(rows))
+    basis = row_basis(rows)
+    expected = rank([[omega(n, u, v) for v in basis] for u in basis])
+    assert gram_rank(n, rows) == expected
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
+def test_omega_matches_index_formula(data):
+    n = data.draw(st.integers(2, 8))
+    vec = st.lists(st.integers(-9, 9), min_size=2 * n, max_size=2 * n)
+    u, v = data.draw(vec), data.draw(vec)
+    expected = sum(u[i] * v[2 * n - 1 - i] - u[2 * n - 1 - i] * v[i]
+                   for i in range(n))
+    assert omega(n, u, v) == omega(n, tuple(u), tuple(v)) == expected
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.data())
+def test_linalg_int_and_fraction_paths_agree(data):
+    ncols = data.draw(st.integers(1, 6))
+    m, other = data.draw(_int_matrix(ncols)), data.draw(_int_matrix(ncols))
+    fm = [[Fraction(x) for x in r] for r in m]
+    fother = [[Fraction(x) for x in r] for r in other]
+    for routine in (rank, rref, row_basis, nullspace):
+        assert routine(m) == routine(fm)
+    assert intersect_rowspaces(m, other) == intersect_rowspaces(fm, fother)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
+def test_linalg_does_not_mutate_input(data):
+    import copy
+    from qkig.linalg import invert_lower_unitriangular
+    ncols = data.draw(st.integers(1, 5))
+    matrices = st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                        min_size=1, max_size=4)
+    m, other = data.draw(matrices), data.draw(matrices)
+    size = data.draw(st.integers(1, 4))
+    tri = [[int(i == j) if j >= i else data.draw(st.integers(-4, 4))
+            for j in range(size)] for i in range(size)]
+    calls = [(primitive_int_row, m[0]), (rank, m), (row_basis, m), (rref, m),
+             (nullspace, m), (stack, m, other), (intersect_rowspaces, m, other),
+             (in_rowspace, m[0], other), (invert_lower_unitriangular, tri)]
+    for routine, *args in calls:
+        before = copy.deepcopy(args)
+        routine(*args)
+        assert repr(args) == repr(before), routine.__name__
