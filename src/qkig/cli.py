@@ -57,7 +57,11 @@ def _emit_element(element, as_json):
 def _default_seed(args):
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("QKIG_SEED", "0"))
+    text = os.environ.get("QKIG_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"QKIG_SEED must be an integer, got {text!r}") from None
 
 
 def cmd_basis(args):
@@ -103,12 +107,11 @@ def cmd_product_special(args):
 def cmd_classify(args):
     n, u, v = args.n, require_valid(args.n, args.u), require_valid(args.n, args.v)
     per_degree = {str(d): nb.classify(n, u, v, d).to_dict() for d in (1, 2, 3)}
+    preds = per_degree["1"]  # the index predicates do not depend on the degree
     payload = {
         "n": n, "u": list(u), "v": list(v),
-        "C1": nb.condition_C1(n, u, v),
-        "C2": nb.condition_C2(n, u, v),
-        "L1": nb.condition_L1(n, u, v),
-        "deg2_birational_case": nb.deg2_birational_case(n, u, v),
+        "C1": preds["C1"], "C2": preds["C2"], "L1": preds["L1"],
+        "deg2_birational_case": preds["deg2_birational_case"],
         "q_support": sorted(nb.q_support_product(n, u, v)),
         "richardson_dim": nb.richardson_dim_or_none(n, u, v),
         "dim_moduli": {str(d): nb.dim_moduli(n, u, v, d) for d in (0, 1, 2)},

@@ -132,12 +132,6 @@ def intersect_rowspaces(rows_a, rows_b):
     return list(rref(vecs))
 
 
-def in_rowspace(vec, rows):
-    """Whether ``vec`` lies in the row space of ``rows``."""
-    base = rank(rows)
-    return rank(stack(rows, [vec])) == base
-
-
 def invert_lower_unitriangular(z):
     """Exact integer inverse of a lower unitriangular integer matrix."""
     size = len(z)

@@ -130,12 +130,13 @@ def gram_rank(n, *objs):
     return rank(g)
 
 
+def _unit_rows(length, idxs):
+    """Coordinate vectors e_i of the given length, for 0-based i in ``idxs``."""
+    return [[int(j == i) for j in range(length)] for i in idxs]
+
+
 def coordinate_plane(n, i, j):
-    e_i = [0] * (2 * n)
-    e_i[i - 1] = 1
-    e_j = [0] * (2 * n)
-    e_j[j - 1] = 1
-    return Plane2(n, [e_i, e_j])
+    return Plane2(n, _unit_rows(2 * n, (i - 1, j - 1)))
 
 
 def _support_within(plane, lo, hi):
@@ -188,24 +189,35 @@ def _random_vector(rng, length, support=None):
     raise SamplingError("could not draw a nonzero vector")
 
 
-def _orthogonal_partner(n, a, candidate, within=None):
-    """Adjust ``candidate`` inside span(within) to be omega-orthogonal to a.
+def _combination(span, rng):
+    """Random integer combination of the rows of ``span``, coefficients in [-9, 9]."""
+    coeffs = [rng.randint(-9, 9) for _ in span]
+    return [sum(map(mul, coeffs, col)) for col in zip(*span)]
 
-    ``within`` is a list of basis vectors (default: ambient coordinates).
-    Returns an exact integer vector, or None if no pivot exists and the
-    candidate already pairs to zero.
+
+def _partner_plane(n, a, candidate, within=None):
+    """Isotropic plane <a, b>, or None when the construction degenerates.
+
+    b is ``candidate`` adjusted inside span(within) to be omega-orthogonal
+    to a; ``within`` is a list of basis vectors (default: ambient
+    coordinates).  None when a pairs to zero with all of ``within`` while
+    the candidate does not, when b is zero or parallel to a, or when the
+    plane fails its isotropy check.
     """
-    two_n = 2 * n
-    basis = within if within is not None else \
-        [[1 if j == i else 0 for j in range(two_n)] for i in range(two_n)]
+    b = candidate
     c = omega(n, a, candidate)
-    if c == 0:
-        return list(candidate)
-    for u in basis:
-        d = omega(n, a, u)
-        if d != 0:
-            return [d * x - c * y for x, y in zip(candidate, u)]
-    return None  # a pairs to zero with the whole space; candidate unusable
+    if c != 0:
+        for u in _unit_rows(2 * n, range(2 * n)) if within is None else within:
+            d = omega(n, a, u)
+            if d != 0:
+                b = [d * x - c * y for x, y in zip(candidate, u)]
+                break
+        else:
+            return None  # a pairs to zero with the whole span; candidate unusable
+    if not any(b) or rank([a, b]) != 2:
+        return None
+    plane = Plane2(n, [a, b])
+    return plane if plane.is_isotropic() else None
 
 
 def random_isotropic_plane(n, seed=None, rng=None):
@@ -214,11 +226,9 @@ def random_isotropic_plane(n, seed=None, rng=None):
     two_n = 2 * n
     for _ in range(_MAX_TRIES):
         v1 = _random_vector(rng, two_n)
-        v2 = _orthogonal_partner(n, v1, _random_vector(rng, two_n))
-        if v2 is None or not any(v2):
-            continue
-        if rank([v1, v2]) == 2:
-            return Plane2(n, [v1, v2])
+        plane = _partner_plane(n, v1, _random_vector(rng, two_n))
+        if plane is not None:
+            return plane
     raise SamplingError(f"random isotropic plane failed for n={n}")
 
 
@@ -234,20 +244,16 @@ def random_point_in_cell(n, pair, orientation="standard", seed=None, rng=None):
     if orientation not in ("standard", "opposite"):
         raise ValueError(f"unknown orientation {orientation!r}")
     two_n = 2 * n
+    e_basis = _unit_rows(two_n, range(b))
     for _ in range(_MAX_TRIES):
         v1 = _random_vector(rng, two_n, support=range(1, a + 1))
         if v1[a - 1] == 0:
             continue
         cand = _random_vector(rng, two_n, support=range(1, b + 1))
-        e_basis = [[1 if j == i else 0 for j in range(two_n)] for i in range(b)]
-        v2 = _orthogonal_partner(n, v1, cand, within=e_basis)
-        if v2 is None or not any(v2) or len(v2) != two_n:
+        plane = _partner_plane(n, v1, cand, within=e_basis)
+        if plane is None:
             continue
-        if v2[b - 1] == 0 or rank([v1, v2]) != 2:
-            continue
-        plane = Plane2(n, [v1, v2])
-        if not plane.is_isotropic():
-            continue
+        # also rejects a partner inside E_{b-1}: it meets E_{b-1} in dimension 2
         profile_ok = all(
             _dim_meet_prefix(plane, k) == (1 if k >= a else 0) + (1 if k >= b else 0)
             for k in range(1, two_n + 1))
@@ -343,23 +349,13 @@ def gamma4_witness(x, y, z, seed=None, rng=None):
     n = x.n
     if dim_sum(x, y) != 4 or gram_rank(n, x, y) != 4:
         raise GeometryError("x and y must be in general position")
-    span = [list(r) for r in row_basis(stack(_rows_of(x), _rows_of(y)))]
+    span = row_basis(stack(_rows_of(x), _rows_of(y)))
     for _ in range(_MAX_TRIES):
-        coeffs = [rng.randint(-9, 9) for _ in span]
-        a = [sum(c * row[i] for c, row in zip(coeffs, span))
-             for i in range(2 * n)]
+        a = _combination(span, rng)
         if not any(a):
             continue
-        cand_coeffs = [rng.randint(-9, 9) for _ in span]
-        cand = [sum(c * row[i] for c, row in zip(cand_coeffs, span))
-                for i in range(2 * n)]
-        b = _orthogonal_partner(n, a, cand, within=span)
-        if b is None or not any(b) or rank([a, b]) != 2:
-            continue
-        t = Plane2(n, [a, b])
-        if not t.is_isotropic():
-            continue
-        if dim_sum(t, z) == 4 and gram_rank(n, t, z) == 4:
+        t = _partner_plane(n, a, _combination(span, rng), within=span)
+        if t is not None and dim_sum(t, z) == 4 and gram_rank(n, t, z) == 4:
             assert verify_gamma4_witness(x, y, z, t)
             return t
     return None
@@ -446,11 +442,8 @@ def richardson_witness(n, u, v, seed=None, rng=None):
                 f"no isotropic witness support for u={u}, v={v}, n={n}")
     for _ in range(_MAX_TRIES):
         a = _random_vector(rng, two_n, support=support1)
-        pairing = []
-        for k in support2:
-            e_k = [0] * two_n
-            e_k[k - 1] = 1
-            pairing.append(omega(n, a, e_k))
+        dual = omega_dual(n, a)
+        pairing = [dual[k - 1] for k in support2]  # omega(a, e_k)
         if all(c == 0 for c in pairing):
             b = _random_vector(rng, two_n, support=support2)
         else:
@@ -465,10 +458,9 @@ def richardson_witness(n, u, v, seed=None, rng=None):
                 b[k - 1] = coef * pairing[piv]
                 acc += coef * pairing[i]
             b[support2[piv] - 1] = -acc
-        if not any(b) or rank([a, b]) != 2:
-            continue
-        plane = Plane2(n, [a, b])
-        if (plane.is_isotropic()
+        # b already pairs to zero with a, so it is its own partner
+        plane = _partner_plane(n, a, b)
+        if (plane is not None
                 and in_schubert(n, plane, u)
                 and in_schubert(n, plane, v, opposite=True)):
             return plane
@@ -491,25 +483,19 @@ def line_witness(n, u, v, seed=None, rng=None):
     if lo > p2:
         return None
     support = range(lo, p2 + 1)
-    lower = [[1 if j == i else 0 for j in range(two_n)] for i in range(p1)]
-    upper = [[1 if j == two_n - 1 - i else 0 for j in range(two_n)]
-             for i in range(q1)]
+    lower = _unit_rows(two_n, range(p1))
+    upper = _unit_rows(two_n, range(two_n - 1, two_n - 1 - q1, -1))
     for _ in range(_MAX_TRIES):
         direction = _random_vector(rng, two_n, support=support)
-        a = _orthogonal_partner(n, direction,
-                                _random_vector(rng, two_n, support=range(1, p1 + 1)),
-                                within=lower)
-        b = _orthogonal_partner(n, direction,
-                                _random_vector(rng, two_n,
-                                               support=range(two_n + 1 - q1, two_n + 1)),
-                                within=upper)
-        if a is None or b is None or not any(a) or not any(b):
-            continue
-        if rank([direction, a]) != 2 or rank([direction, b]) != 2:
-            continue
-        x = Plane2(n, [direction, a])
-        y = Plane2(n, [direction, b])
-        if (x.is_isotropic() and y.is_isotropic()
+        # both candidates are drawn before either plane is tested
+        x = _partner_plane(n, direction,
+                           _random_vector(rng, two_n, support=range(1, p1 + 1)),
+                           within=lower)
+        y = _partner_plane(n, direction,
+                           _random_vector(rng, two_n,
+                                          support=range(two_n + 1 - q1, two_n + 1)),
+                           within=upper)
+        if (x is not None and y is not None
                 and in_schubert(n, x, u)
                 and in_schubert(n, y, v, opposite=True)
                 and dim_intersect(x, y) >= 1):
@@ -517,36 +503,20 @@ def line_witness(n, u, v, seed=None, rng=None):
     raise SamplingError(f"line witness failed for u={u}, v={v}, n={n}")
 
 
-def _conic_certificate(n, x, y, z, ds):
-    """z lies on a conic through x and y: all three on the quadric of V_x + V_y."""
-    # gram rank 4 means dim(V_x + V_y) = 4: z lies inside iff the caller's
-    # ds = dim_sum(x, y, z) is still 4
-    return gram_rank(n, x, y) == 4 and z.is_isotropic() and ds == 4
-
-
 def _sample_z(n, x, y, mode, rng):
     """Sample a test plane: inside the span of x and y, touching it, or free."""
-    span = [list(r) for r in row_basis(stack(_rows_of(x), _rows_of(y)))]
-    two_n = 2 * n
     if mode == "generic":
         return random_isotropic_plane(n, rng=rng)
+    span = row_basis(stack(_rows_of(x), _rows_of(y)))
     for _ in range(_MAX_TRIES):
-        coeffs = [rng.randint(-9, 9) for _ in span]
-        a = [sum(c * row[i] for c, row in zip(coeffs, span))
-             for i in range(two_n)]
+        a = _combination(span, rng)
         if not any(a):
             continue
         if mode == "inside":
-            cand_coeffs = [rng.randint(-9, 9) for _ in span]
-            cand = [sum(c * row[i] for c, row in zip(cand_coeffs, span))
-                    for i in range(two_n)]
-            b = _orthogonal_partner(n, a, cand, within=span)
+            plane = _partner_plane(n, a, _combination(span, rng), within=span)
         else:  # touch: one direction inside the span, one outside
-            b = _orthogonal_partner(n, a, _random_vector(rng, two_n))
-        if b is None or not any(b) or rank([a, b]) != 2:
-            continue
-        plane = Plane2(n, [a, b])
-        if plane.is_isotropic():
+            plane = _partner_plane(n, a, _random_vector(rng, 2 * n))
+        if plane is not None:
             return plane
     raise SamplingError(f"z sampling failed for mode {mode!r}, n={n}")
 
@@ -576,6 +546,10 @@ def membership_suite(n, trials, seed):
         trial_seed = seed * 1_000_003 + trial
         rng = random.Random(trial_seed)
         x, y = general_position_pair(n, rng=rng)
+        # z lies on a conic through x and y when all three sit on the quadric
+        # of V_x + V_y; gram rank 4 means dim(V_x + V_y) = 4, so z lies inside
+        # iff ds = dim_sum(x, y, z) is still 4
+        conic_span = gram_rank(n, x, y) == 4
         checks += 1
         try:
             mid = chain2_through(x, y)
@@ -587,7 +561,7 @@ def membership_suite(n, trials, seed):
             z = _sample_z(n, x, y, mode, rng)
             ds = dim_sum(x, y, z)
             crit2, crit3 = ds <= 4, ds <= 5
-            wit2 = _conic_certificate(n, x, y, z, ds)
+            wit2 = conic_span and z.is_isotropic() and ds == 4
             t3 = gamma3_witness(x, y, z)
             wit3 = t3 is not None and verify_gamma3_witness(x, y, z, t3)
             t4 = gamma4_witness(x, y, z, rng=rng)

@@ -61,16 +61,15 @@ def run_seidel(n_max):
     return _report("seidel", {"n_max": n_max}, checks, failures)
 
 
-def _c1_c2_pairs(n):
-    out = []
+def _c1_c2_products(n):
+    """(kind, u, v, product) for every pair meeting (C1) or (C2)."""
     basis = basis_list(n)
     for u in basis:
         for v in basis:
             if nb.condition_C1(n, u, v):
-                out.append(("C1", u, v))
+                yield "C1", u, v, ring.product_C1(n, u, v)
             if nb.condition_C2(n, u, v):
-                out.append(("C2", u, v))
-    return out
+                yield "C2", u, v, ring.product_C2(n, u, v)
 
 
 def run_signs(n_max):
@@ -90,9 +89,7 @@ def run_signs(n_max):
                 if not ok:
                     failures.append({"n": n, "v": v, "cu": cu,
                                      "violations": bad})
-        for kind, u, v in _c1_c2_pairs(n):
-            prod = ring.product_C1(n, u, v) if kind == "C1" \
-                else ring.product_C2(n, u, v)
+        for kind, u, v, prod in _c1_c2_products(n):
             ok, bad = ring.sign_check(
                 prod, codim_schubert(n, *u), codim_schubert(n, *v))
             checks += 1
@@ -126,9 +123,7 @@ def run_interval(n_max):
                 if sup != nb.q_support_product(n, u, v):
                     failures.append({"n": n, "u": u, "v": v,
                                      "what": "support_agreement"})
-        for kind, u, v in _c1_c2_pairs(n):
-            prod = ring.product_C1(n, u, v) if kind == "C1" \
-                else ring.product_C2(n, u, v)
+        for _, u, v, prod in _c1_c2_products(n):
             sup = prod.q_support()
             checks += 2
             if not (sup <= {0, 1, 2} and _is_interval(sup)):

@@ -189,6 +189,10 @@ def test_verify_seed_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "--suite", "bruhat", "--n-max", "2",
                                 "--seed", "9"])
     assert "'seed': 9" in out  # explicit flag wins
+    monkeypatch.setenv("QKIG_SEED", "abc")
+    code, out, err = run(capsys, ["verify", "--suite", "bruhat", "--n-max", "2"])
+    assert code == 2 and out == ""
+    assert "QKIG_SEED must be an integer, got 'abc'" in err
 
 
 def test_table_byte_stable(capsys):

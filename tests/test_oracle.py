@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkig.linalg import (
-    in_rowspace,
     intersect_rowspaces,
     nullspace,
     primitive_int_row,
@@ -100,7 +99,8 @@ def test_linalg_kernel_matches_fraction_reference(data):
                for r in m for v in kernel)
     meet = intersect_rowspaces(m, other)
     assert len(meet) == rank(m) + rank(other) - rank(stack(m, other))
-    assert all(in_rowspace(v, m) and in_rowspace(v, other) for v in meet)
+    # every meet vector lies in both row spaces: adding it keeps the rank
+    assert all(rank(s + [v]) == rank(s) for v in meet for s in (m, other))
 
 
 def test_omega_form():
@@ -363,6 +363,34 @@ def test_seeded_planes_are_pinned():
         "b93834a31329d6afb6ecab071e8f14a82072e93f902ffb14d36ec2925cb86816")
 
 
+def test_sample_z_modes_and_partner_plane():
+    from qkig.oracle import _partner_plane, _sample_z
+    for n in (2, 3, 4):
+        for seed in range(6):
+            rng = random.Random(seed)
+            x, y = general_position_pair(n, rng=rng)
+            inside = _sample_z(n, x, y, "inside", rng)
+            touch = _sample_z(n, x, y, "touch", rng)
+            generic = _sample_z(n, x, y, "generic", rng)
+            assert all(z.is_isotropic() for z in (inside, touch, generic))
+            assert dim_sum(x, y, inside) == 4
+            assert intersect_basis(stack(x.rows, y.rows), touch)
+            for within in (None, x.rows + y.rows):
+                a = [rng.randint(-3, 3) for _ in range(2 * n)]
+                cand = [rng.randint(-3, 3) for _ in range(2 * n)]
+                t = _partner_plane(n, a, cand, within=within)
+                if t is not None:
+                    assert t.is_isotropic()
+                    assert dim_sum(t, [a]) == 2  # a lies in t
+    # a pairs to zero with all of ``within`` while the candidate does not
+    e = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert _partner_plane(2, e[0], e[3], within=[e[1]]) is None
+    assert _partner_plane(2, e[0], e[0]) is None  # b parallel to a
+    assert _partner_plane(2, e[0], e[1]) == coordinate_plane(2, 1, 2)
+    # e_1 pairs with e_4 only: the adjustment removes the e_4 component
+    assert _partner_plane(2, e[0], [0, 1, 0, 1]) == coordinate_plane(2, 1, 2)
+
+
 def test_gram_rank():
     x = coordinate_plane(3, 1, 2)
     y = coordinate_plane(3, 5, 6)
@@ -440,7 +468,7 @@ def test_linalg_does_not_mutate_input(data):
             for j in range(size)] for i in range(size)]
     calls = [(primitive_int_row, m[0]), (rank, m), (row_basis, m), (rref, m),
              (nullspace, m), (stack, m, other), (intersect_rowspaces, m, other),
-             (in_rowspace, m[0], other), (invert_lower_unitriangular, tri)]
+             (invert_lower_unitriangular, tri)]
     for routine, *args in calls:
         before = copy.deepcopy(args)
         routine(*args)
