@@ -17,9 +17,7 @@ from .pairs import (
     divisor_pair,
     dual_pair,
     fano_index,
-    fixed_points,
     is_valid_pair,
-    point_pair,
     richardson_dim,
     richardson_nonempty,
     seidel_pair,
@@ -50,7 +48,6 @@ from .neighborhoods import (
     condition_L1,
     deg2_birational_case,
     dim_moduli,
-    gamma1_schubert,
     gamma_broken,
     gamma_pair,
     gamma_point_pair,
@@ -69,7 +66,6 @@ from .oracle import (
     Plane2,
     SamplingError,
     bruhat_oracle,
-    broken_conic_middle,
     chain2_through,
     dim_intersect,
     dim_sum,

@@ -191,10 +191,10 @@ def dim_moduli(n, u, v, d):
     return out
 
 
-def gamma1_schubert(n, v):
-    """Degree-1 neighborhood of the opposite Schubert variety of v alone."""
-    q1, q2 = require_valid(n, v)
-    return meets_subspace(n, upper_flag(n, q2))
+def _check_degree(d):
+    if d < 1:
+        raise ValueError(f"degree {d} is below 1 (degree 0 is the Richardson "
+                         "intersection; use the index operations)")
 
 
 def _deg2_meets_set(n, u, v):
@@ -209,9 +209,7 @@ def gamma_pair(n, u, v, d):
     """Descriptor of the degree-d neighborhood of (X_u, X^v)."""
     u = require_valid(n, u)
     v = require_valid(n, v)
-    if d < 1:
-        raise ValueError("degree 0 is the Richardson intersection; "
-                         "use the index operations")
+    _check_degree(d)
     p1, p2 = u
     q1, q2 = v
     if d >= 4:
@@ -236,9 +234,7 @@ def gamma_broken(n, u, v, d):
     """Descriptor of the degree-(d-1, 1) broken-chain neighborhood."""
     u = require_valid(n, u)
     v = require_valid(n, v)
-    if d < 1:
-        raise ValueError("degree 0 is the Richardson intersection; "
-                         "use the index operations")
+    _check_degree(d)
     p1, p2 = u
     q1, q2 = v
     if d >= 4:
@@ -301,7 +297,8 @@ def seidel_neighborhood(n, u):
 def gamma_point_pair(n, d):
     """Membership predicate for the degree-d neighborhood of two general points.
 
-    Returns a callable on three planes from the geometry oracle.  Degrees
+    Returns a callable on three planes from the geometry oracle, whose
+    ``membership_suite`` compares it with its verified witnesses.  Degrees
     d <= 1 are not covered here: membership on a line is V_z containing
     V_x cap V_y inside V_x + V_y.
     """

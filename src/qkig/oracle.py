@@ -5,9 +5,12 @@ stored in a canonical primitive-integer form.  Every arithmetic step is
 exact integer arithmetic; ranks, meets and orthogonals come from the
 fraction-free elimination of ``linalg``.  The constructions mirror
 the curve-chain arguments behind the closed formulas: two-line chains
-through general points, degree-3 witnesses, broken-conic middle points,
-Richardson points built from flag intersections.  Each constructed witness
-is re-verified against the incidence and isotropy conditions it claims.
+through general points, degree-3 and degree-4 witnesses, Richardson and
+line points built from flag intersections.  Constructors only build; the
+public ``verify_*`` functions check a witness against the incidence and
+isotropy conditions it claims, and ``membership_suite`` runs each check
+once, comparing the outcomes with the point-pair criteria of
+``neighborhoods.gamma_point_pair``.
 
 Randomness is always seeded; suite reports embed the seed for exact replay.
 """
@@ -24,6 +27,7 @@ from .linalg import (
     rref,
     stack,
 )
+from .neighborhoods import gamma_point_pair
 from .pairs import _check_n, basis_list, require_valid
 
 _COORD_BOUND = 100  # sampled numerators stay small; ranks are on tiny matrices
@@ -295,9 +299,7 @@ def chain2_through(x, y):
     b = [c1 * p - c0 * q for p, q in zip(r0, r1)]
     if not any(b):
         raise GeometryError("degenerate pairing against V_y")
-    t = Plane2(n, [a, b])
-    assert verify_two_line_chain(x, y, t), (x, y, t)
-    return t
+    return Plane2(n, [a, b])
 
 
 def verify_two_line_chain(x, y, t):
@@ -330,9 +332,7 @@ def gamma3_witness(x, y, z):
             break
     if w is None:
         raise GeometryError("no independent direction in the orthogonal slice")
-    t = Plane2(n, [v, w])
-    assert verify_gamma3_witness(x, y, z, t), (x, y, z, t)
-    return t
+    return Plane2(n, [v, w])
 
 
 def verify_gamma3_witness(x, y, z, t):
@@ -345,18 +345,21 @@ def verify_gamma3_witness(x, y, z, t):
 def gamma4_witness(x, y, z, seed=None, rng=None):
     """Witness that any z is swept in degree 4: a middle point t with a conic
     through x, y, t and a conic through t, z."""
-    rng = _rng_of(seed, rng)
     n = x.n
     if dim_sum(x, y) != 4 or gram_rank(n, x, y) != 4:
         raise GeometryError("x and y must be in general position")
     span = row_basis(stack(_rows_of(x), _rows_of(y)))
+    return _gamma4_in_span(n, span, z, _rng_of(seed, rng))
+
+
+def _gamma4_in_span(n, span, z, rng):
+    """Degree-4 middle point drawn inside ``span``, the row basis of V_x + V_y."""
     for _ in range(_MAX_TRIES):
         a = _combination(span, rng)
         if not any(a):
             continue
         t = _partner_plane(n, a, _combination(span, rng), within=span)
         if t is not None and dim_sum(t, z) == 4 and gram_rank(n, t, z) == 4:
-            assert verify_gamma4_witness(x, y, z, t)
             return t
     return None
 
@@ -368,37 +371,6 @@ def verify_gamma4_witness(x, y, z, t):
             and gram_rank(n, x, y) == 4
             and dim_sum(t, z) == 4
             and gram_rank(n, t, z) == 4)
-
-
-def broken_conic_middle(x, y, z):
-    """Unique middle point of a line-pair through collinear x, y touching z.
-
-    Requires x, y on a line, the three planes spanning a 4-space with omega
-    of rank 4, and z off the line through x and y.  The middle point is the
-    plane spanned by V_x cap V_y and the line where V_z meets V_x + V_y.
-    """
-    n = x.n
-    if dim_intersect(x, y) != 1:
-        raise GeometryError("x and y must lie on a line (common direction)")
-    if dim_sum(x, y, z) != 4:
-        raise GeometryError("x, y, z must span a 4-space")
-    if gram_rank(n, x, y, z) != 4:
-        raise GeometryError("omega is degenerate on the span")
-    common = intersect_basis(x, y)
-    v1 = common[0]
-    line = stack(_rows_of(x), _rows_of(y))
-    meet = intersect_basis(line, z)
-    if len(meet) != 1:
-        raise GeometryError("z meets the plane of the line in the wrong dimension")
-    s = meet[0]
-    if rank([v1, s]) != 2:
-        raise GeometryError("z lies on the line through x and y")
-    t = Plane2(n, [v1, s])
-    assert t.is_isotropic()
-    assert dim_intersect(t, x) >= 1 and dim_intersect(t, y) >= 1
-    assert dim_sum(x, y, t) <= 3  # t is on the line through x and y
-    assert dim_intersect(t, z) >= 1
-    return t
 
 
 @lru_cache(maxsize=None)
@@ -503,11 +475,11 @@ def line_witness(n, u, v, seed=None, rng=None):
     raise SamplingError(f"line witness failed for u={u}, v={v}, n={n}")
 
 
-def _sample_z(n, x, y, mode, rng):
-    """Sample a test plane: inside the span of x and y, touching it, or free."""
+def _sample_z(n, span, mode, rng):
+    """Sample a test plane: inside ``span`` (the row basis of V_x + V_y),
+    touching it, or free."""
     if mode == "generic":
         return random_isotropic_plane(n, rng=rng)
-    span = row_basis(stack(_rows_of(x), _rows_of(y)))
     for _ in range(_MAX_TRIES):
         a = _combination(span, rng)
         if not any(a):
@@ -522,17 +494,20 @@ def _sample_z(n, x, y, mode, rng):
 
 
 def membership_suite(n, trials, seed):
-    """Compare witness constructions with the span-dimension criteria.
+    """Compare verified witnesses with the point-pair criteria of
+    ``neighborhoods.gamma_point_pair``.
 
-    Each trial draws a general pair (x, y), validates the two-line chain
+    Each trial draws a general pair (x, y), verifies the two-line chain
     through them, then tests three z-samples against the degree 2, 3 and 4
-    membership rules.  Returns a JSON-ready report; failures embed the
-    offending matrices and the per-trial seed.
+    criteria; every witness is checked once by its ``verify_*`` function.
+    Returns a JSON-ready report; failures embed the offending matrices and
+    the per-trial seed.
     """
     _check_n(n)
     failures = []
     checks = 0
-    outcomes = {d: {"true": 0, "false": 0} for d in ("deg2", "deg3", "deg4")}
+    criteria = {f"deg{d}": gamma_point_pair(n, d) for d in (2, 3, 4)}
+    outcomes = {what: {"true": 0, "false": 0} for what in criteria}
 
     def fail(trial_seed, what, x, y, z, extra=None):
         failures.append({
@@ -546,6 +521,7 @@ def membership_suite(n, trials, seed):
         trial_seed = seed * 1_000_003 + trial
         rng = random.Random(trial_seed)
         x, y = general_position_pair(n, rng=rng)
+        span = row_basis(stack(_rows_of(x), _rows_of(y)))
         # z lies on a conic through x and y when all three sit on the quadric
         # of V_x + V_y; gram rank 4 means dim(V_x + V_y) = 4, so z lies inside
         # iff ds = dim_sum(x, y, z) is still 4
@@ -558,23 +534,20 @@ def membership_suite(n, trials, seed):
         except (GeometryError, SamplingError) as exc:
             fail(trial_seed, "two_line_chain", x, y, None, extra=str(exc))
         for mode in ("inside", "touch", "generic"):
-            z = _sample_z(n, x, y, mode, rng)
+            z = _sample_z(n, span, mode, rng)
             ds = dim_sum(x, y, z)
-            crit2, crit3 = ds <= 4, ds <= 5
-            wit2 = conic_span and z.is_isotropic() and ds == 4
             t3 = gamma3_witness(x, y, z)
-            wit3 = t3 is not None and verify_gamma3_witness(x, y, z, t3)
-            t4 = gamma4_witness(x, y, z, rng=rng)
-            wit4 = t4 is not None and verify_gamma4_witness(x, y, z, t4)
+            t4 = _gamma4_in_span(n, span, z, rng)
+            witnessed = {
+                "deg2": conic_span and z.is_isotropic() and ds == 4,
+                "deg3": t3 is not None and verify_gamma3_witness(x, y, z, t3),
+                "deg4": t4 is not None and verify_gamma4_witness(x, y, z, t4),
+            }
             checks += 3
-            outcomes["deg2"]["true" if crit2 else "false"] += 1
-            outcomes["deg3"]["true" if crit3 else "false"] += 1
-            outcomes["deg4"]["true"] += 1
-            if wit2 != crit2:
-                fail(trial_seed, "deg2", x, y, z, extra={"dim_sum": ds})
-            if wit3 != crit3:
-                fail(trial_seed, "deg3", x, y, z, extra={"dim_sum": ds})
-            if not wit4:
-                fail(trial_seed, "deg4", x, y, z, extra={"dim_sum": ds})
+            for what, criterion in criteria.items():
+                expected = criterion(x, y, z)
+                outcomes[what]["true" if expected else "false"] += 1
+                if witnessed[what] != expected:
+                    fail(trial_seed, what, x, y, z, extra={"dim_sum": ds})
     return {"suite": "membership", "n": n, "trials": trials, "seed": seed,
             "checks": checks, "outcomes": outcomes, "failures": failures}

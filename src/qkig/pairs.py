@@ -41,11 +41,6 @@ def unit_pair(n):
     return (2 * n - 1, 2 * n)
 
 
-def point_pair(n):
-    _check_n(n)
-    return (1, 2)
-
-
 def divisor_pair(n):
     _check_n(n)
     return (2 * n - 2, 2 * n)
@@ -151,16 +146,6 @@ def richardson_dim(n, u, v):
     d = p1 + p2 + q1 + q2 - 4 * n - 1 - delta(n, p1, p2) - delta(n, q1, q2)
     assert d >= 0, (n, u, v)
     return d
-
-
-def fixed_points(n, pair):
-    """Torus-fixed points contained in the Schubert variety of ``pair``.
-
-    A fixed point is the coordinate plane <e_i, e_j>, recorded as the valid
-    pair (i, j); it lies in X_{a,b} iff i <= a and j <= b.
-    """
-    a, b = require_valid(n, pair)
-    return {(i, j) for (i, j) in basis_list(n) if i <= a and j <= b}
 
 
 @lru_cache(maxsize=None)

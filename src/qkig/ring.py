@@ -91,7 +91,7 @@ class RingElement:
         for (d, pair), coeff in (terms or {}).items():
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient must be an integer, got {coeff!r}")
-            if not isinstance(d, int) or d < 0:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise ValueError(f"q-power must be a nonnegative integer, got {d!r}")
             if coeff == 0:
                 continue

@@ -67,6 +67,10 @@ def test_argument_errors_exit_2_with_usage(capsys):
     cases = [
         (["gamma", "--n", "3", "--u", "1,3", "--v", "3,5", "--deg", "0"],
          "qkig gamma", "degree 0"),
+        (["gamma", "--n", "3", "--u", "1,3", "--v", "3,5", "--deg", "-1"],
+         "qkig gamma", "degree -1 is below 1 (degree 0 is the Richardson"),
+        (["gamma", "--n", "3", "--u", "1,3", "--v", "3,5", "--deg", "-1",
+          "--broken"], "qkig gamma", "degree -1 is below 1"),
         (["basis", "--n", "1"], "qkig basis", "n must be an integer >= 2"),
         (["richardson-expand", "--n", "3", "--p", "9"],
          "qkig richardson-expand", "p must lie in [1, 2n-1]"),

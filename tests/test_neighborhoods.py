@@ -10,7 +10,6 @@ from qkig.neighborhoods import (
     condition_L1,
     deg2_birational_case,
     dim_moduli,
-    gamma1_schubert,
     gamma_broken,
     gamma_pair,
     gamma_point_pair,
@@ -50,12 +49,6 @@ def test_meets_subspace_normalization():
     d = meets_subspace(3, {3, 4, 5, 6})
     assert d == Descriptor("meets", (3, 4, 5, 6), 6)
     assert d.to_dict() == {"kind": "meets", "indices": [3, 4, 5, 6], "dim": 6}
-
-
-def test_gamma1_schubert():
-    assert gamma1_schubert(3, (1, 4)) == Descriptor("meets", (3, 4, 5, 6), 6)
-    assert gamma1_schubert(3, (4, 6)).kind == "whole"
-    assert gamma1_schubert(3, (1, 5)).kind == "whole"
 
 
 def test_conditions():

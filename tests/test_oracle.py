@@ -17,7 +17,6 @@ from qkig.linalg import (
 from qkig.oracle import (
     GeometryError,
     Plane2,
-    broken_conic_middle,
     bruhat_oracle,
     chain2_through,
     coordinate_plane,
@@ -37,6 +36,7 @@ from qkig.oracle import (
     random_point_in_cell,
     richardson_witness,
     verify_gamma3_witness,
+    verify_gamma4_witness,
     verify_two_line_chain,
 )
 from qkig.pairs import basis_list, bruhat_leq, richardson_nonempty
@@ -214,31 +214,7 @@ def test_gamma4_witness_always_succeeds():
         for _ in range(5):
             z = random_isotropic_plane(n, rng=rng)
             t = gamma4_witness(x, y, z, rng=rng)
-            assert t is not None
-
-
-def test_broken_conic_middle():
-    # x, y on a line in IG(2, 4), z generic: the middle point is unique
-    x = coordinate_plane(2, 1, 2)
-    y = Plane2(2, [[1, 0, 0, 0], [0, 0, 1, 0]])
-    rng = random.Random(5)
-    found = 0
-    for _ in range(40):
-        z = random_isotropic_plane(2, rng=rng)
-        try:
-            t = broken_conic_middle(x, y, z)
-        except GeometryError:
-            continue
-        found += 1
-        assert t.is_isotropic()
-        assert dim_sum(x, y, t) <= 3      # t on the line through x and y
-        assert dim_intersect(t, z) >= 1   # t and z on a line
-        # deterministic: rebuilding from permuted generators gives the same plane
-        x2 = Plane2(2, [list(x.rows[1]), list(x.rows[0])])
-        assert broken_conic_middle(x2, y, z) == t
-    assert found > 10
-    with pytest.raises(GeometryError):
-        broken_conic_middle(x, y, x)  # z on the line through x and y
+            assert t is not None and verify_gamma4_witness(x, y, z, t)
 
 
 def test_planted_violation_detected():
@@ -255,6 +231,44 @@ def test_planted_violation_detected():
     miss = coordinate_plane(3, 5, 6)
     assert miss.is_isotropic()
     assert not verify_gamma3_witness(x, y, coordinate_plane(3, 3, 4), miss)
+    # two-line chain: the same non-isotropic plane meets both V_x and V_y
+    assert dim_intersect(bad, x) == dim_intersect(bad, y) == 1
+    assert not verify_two_line_chain(x, y, bad)
+    # and an isotropic plane meeting V_x but missing V_y
+    assert not verify_two_line_chain(x, y, z)
+    # degree 4, on a general pair and a general z
+    rng = random.Random(3)
+    x, y = general_position_pair(3, rng=rng)
+    z = random_isotropic_plane(3, rng=rng)
+    t = gamma4_witness(x, y, z, rng=rng)
+    assert t is not None and verify_gamma4_witness(x, y, z, t)
+    # non-isotropic plane inside V_x + V_y
+    a = x.rows[0]
+    bad = Plane2(3, [a, next(r for r in y.rows if omega(3, a, r))])
+    assert not bad.is_isotropic()
+    assert not verify_gamma4_witness(x, y, z, bad)
+    # isotropic plane outside V_x + V_y
+    assert z.is_isotropic() and dim_sum(x, y, z) > 4
+    assert not verify_gamma4_witness(x, y, z, z)
+    # no conic through t and z when z = t
+    assert not verify_gamma4_witness(x, y, t, t)
+    # x and y not in general position
+    assert not verify_gamma4_witness(x, x, z, t)
+
+
+def test_membership_suite_records_planted_failures(monkeypatch):
+    # a non-isotropic plane passed off as every degree-3 and degree-4 witness
+    from qkig import oracle
+    bad = Plane2(3, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]])
+    monkeypatch.setattr(oracle, "gamma3_witness", lambda x, y, z: bad)
+    monkeypatch.setattr(oracle, "_gamma4_in_span", lambda n, span, z, rng: bad)
+    rep = membership_suite(3, 2, seed=5)
+    s0, s1 = 5 * 1_000_003, 5 * 1_000_003 + 1
+    found = [(f["what"], f["trial_seed"]) for f in rep["failures"]]
+    # every z is swept in degree 4, so all three z-samples of a trial fail
+    assert sorted(s for what, s in found if what == "deg4") == [s0] * 3 + [s1] * 3
+    assert {what for what, _ in found} == {"deg3", "deg4"}
+    assert {s for _, s in found} == {s0, s1}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -338,8 +352,9 @@ def test_seeded_planes_are_pinned():
             rng = random.Random(seed)
             x, y = general_position_pair(n, rng=rng)
             built += [(x, y), chain2_through(x, y)]
+            span = row_basis(stack(x.rows, y.rows))
             for mode in ("inside", "touch", "generic"):
-                z = _sample_z(n, x, y, mode, rng)
+                z = _sample_z(n, span, mode, rng)
                 built += [z, gamma3_witness(x, y, z),
                           gamma4_witness(x, y, z, rng=rng)]
         for u in basis_list(n):
@@ -360,9 +375,10 @@ def test_sample_z_modes_and_partner_plane():
         for seed in range(6):
             rng = random.Random(seed)
             x, y = general_position_pair(n, rng=rng)
-            inside = _sample_z(n, x, y, "inside", rng)
-            touch = _sample_z(n, x, y, "touch", rng)
-            generic = _sample_z(n, x, y, "generic", rng)
+            span = row_basis(stack(x.rows, y.rows))
+            inside = _sample_z(n, span, "inside", rng)
+            touch = _sample_z(n, span, "touch", rng)
+            generic = _sample_z(n, span, "generic", rng)
             assert all(z.is_isotropic() for z in (inside, touch, generic))
             assert dim_sum(x, y, inside) == 4
             assert intersect_basis(stack(x.rows, y.rows), touch)

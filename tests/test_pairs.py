@@ -13,7 +13,6 @@ from qkig.pairs import (
     dim_space,
     dual_pair,
     explain_invalid,
-    fixed_points,
     is_valid_pair,
     richardson_dim,
     richardson_nonempty,
@@ -135,12 +134,6 @@ def test_richardson_dim_consistency(n):
                 assert d >= 0
                 assert d == dim_schubert(n, *u) - codim_schubert(n, *v)
         assert richardson_dim(n, u, dual_pair(n, u)) == 0
-
-
-def test_fixed_points():
-    assert fixed_points(2, (1, 2)) == {(1, 2)}
-    assert fixed_points(2, (3, 4)) == set(basis_list(2))
-    assert fixed_points(3, (2, 4)) == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
 
 
 def test_basis_list():

@@ -204,6 +204,10 @@ def test_element_validation_and_canonical_form():
         E(3, {(0, (2, 5)): 1})
     with pytest.raises(ValueError):
         E(3, {(-1, (2, 4)): 1})
+    with pytest.raises(ValueError):
+        E(3, {(True, (2, 4)): 1})  # a bool is not a q-power
+    with pytest.raises(ValueError):
+        E.basis(3, (2, 4), d=True)
     with pytest.raises(TypeError):
         E(3, {(0, (2, 4)): 1.5})
     e = E(3, {(1, (4, 6)): 1, (0, (1, 5)): 2, (0, (2, 4)): 1, (0, (1, 4)): -2})
