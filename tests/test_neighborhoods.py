@@ -212,3 +212,26 @@ def test_gamma_point_pair():
     assert not gamma_point_pair(3, 2)(x, y, z)
     with pytest.raises(ValueError):
         gamma_point_pair(3, 1)
+
+
+def _neighborhoods_record(n, u, v):
+    return [
+        condition_C1(n, u, v), condition_C2(n, u, v), condition_L1(n, u, v),
+        deg2_birational_case(n, u, v), sorted(q_support_product(n, u, v)),
+        [classify(n, u, v, d).to_dict() for d in (1, 2, 3)],
+        [gamma_pair(n, u, v, d).to_dict() for d in (1, 2, 3, 4)],
+        [gamma_broken(n, u, v, d).to_dict() for d in (1, 2, 3, 4)],
+    ]
+
+
+def test_neighborhoods_outputs_are_pinned():
+    # every predicate, support, classification and descriptor over all
+    # ordered pairs at n = 2..8; a change of any output changes the digest
+    import hashlib
+    import json
+    records = [[n, u, v, _neighborhoods_record(n, u, v)]
+               for n in range(2, 9)
+               for u, v in itertools.product(basis_list(n), repeat=2)]
+    canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == (
+        "71d7d6c50bac34f18a0477701a3beeef4e0992555377571872ce32265d3d4d2d")
