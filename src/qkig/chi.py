@@ -15,13 +15,7 @@ and classical_chevalley.
 from functools import lru_cache
 
 from .linalg import invert_lower_unitriangular
-from .pairs import (
-    _check_n,
-    basis_list,
-    bruhat_leq,
-    dual_pair,
-    require_valid,
-)
+from .pairs import _check_n, basis_list, bruhat_leq, require_valid
 from .ring import RingElement
 
 
@@ -48,9 +42,12 @@ def chi_xuv(n, p, r):
     Total function: 0 outside the stated support, values in {0, 1, 2}.
     """
     _check_n(n)
-    if not 1 <= p <= n:
-        raise ValueError(f"p must lie in [1, n], got {p}")
-    r1, r2 = require_valid(n, r)
+    _check_p(n, p)
+    return _chi_xuv(n, p, require_valid(n, r))
+
+
+def _chi_xuv(n, p, r):
+    r1, r2 = r
     s = r1 + r2
     if s < 2 * n + 1:
         return 0
@@ -63,8 +60,11 @@ def chi_xuv(n, p, r):
 
 def chi_chevalley(n, q, r):
     """chi of the divisor-times-O_q Richardson against the opposite pair r."""
-    q1, q2 = require_valid(n, q)
-    r1, r2 = require_valid(n, r)
+    return _chi_chevalley(n, require_valid(n, q), require_valid(n, r))
+
+
+def _chi_chevalley(n, q, r):
+    (q1, q2), (r1, r2) = q, r
     top = 2 * n
     nonempty = ((q1 + r2 >= top + 2 and q2 + r1 >= top + 1)
                 or (q1 + r2 >= top + 1 and q2 + r1 >= top + 2))
@@ -75,33 +75,41 @@ def chi_chevalley(n, q, r):
     return 1
 
 
+def _check_p(n, p):
+    if not 1 <= p <= n:
+        raise ValueError(f"p must lie in [1, n], got {p}")
+
+
 def _reconstruct(n, chi_of_opposite_pair):
     """Schubert expansion of the class with the given chi table.
 
     The table is indexed by the pair of the opposite variety being
     intersected; the ideal-sheaf class it weights sits at the dual pair
-    (the Schubert variety through the same torus-fixed plane).  The
-    expansion coefficients are then the row vector chi^T M.
+    (the Schubert variety through the same torus-fixed plane), so the
+    callback receives trusted pairs.  The expansion coefficients are the
+    row vector chi^T M; M is lower triangular and mostly zero, so only the
+    nonzero entries of chi and of each row of M up to the diagonal enter.
     """
     basis, _, m = ideal_to_schubert(n)
-    chi_vec = [chi_of_opposite_pair(dual_pair(n, w)) for w in basis]
-    size = len(basis)
-    coeffs = {}
-    for j in range(size):
-        c = sum(chi_vec[i] * m[i][j] for i in range(j, size))
+    top = 2 * n + 1
+    acc = [0] * len(basis)
+    for i, (a, b) in enumerate(basis):
+        c = chi_of_opposite_pair((top - b, top - a))
         if c:
-            coeffs[(0, basis[j])] = c
-    return RingElement(n, coeffs)
+            for j, mij in enumerate(m[i][:i + 1]):
+                if mij:
+                    acc[j] += c * mij
+    coeffs = {(0, w): c for w, c in zip(basis, acc) if c}
+    return RingElement._from_valid(n, coeffs)
 
 
 def reconstruct_xuv(n, p):
     """Re-derive the special Richardson expansion from its chi table."""
-    if not 1 <= p <= n:
-        raise ValueError(f"p must lie in [1, n], got {p}")
-    return _reconstruct(n, lambda r: chi_xuv(n, p, r))
+    _check_p(n, p)
+    return _reconstruct(n, lambda r: _chi_xuv(n, p, r))
 
 
 def reconstruct_classical_chevalley(n, v):
     """Re-derive the classical divisor product on O_v from its chi table."""
     v = require_valid(n, v)
-    return _reconstruct(n, lambda r: chi_chevalley(n, v, r))
+    return _reconstruct(n, lambda r: _chi_chevalley(n, v, r))

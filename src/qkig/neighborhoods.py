@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .pairs import (
     _check_n,
-    codim_schubert,
-    delta,
+    _dim_schubert,
+    _richardson_nonempty,
     dim_space,
     fano_index,
     require_valid,
@@ -87,41 +87,61 @@ def dim_only(value, note=""):
 
 def condition_C1(n, u, v):
     """p1 + q1 = 2n = p2 = q2."""
-    p1, p2 = require_valid(n, u)
-    q1, q2 = require_valid(n, v)
-    return p1 + q1 == 2 * n and p2 == 2 * n and q2 == 2 * n
+    return _c1(n, require_valid(n, u), require_valid(n, v))
 
 
 def condition_C2(n, u, v):
     """p1 + q2 = 2n = p2 + q1 with equal index gaps >= 2 and max(dp, dq) = 1."""
-    p1, p2 = require_valid(n, u)
-    q1, q2 = require_valid(n, v)
-    return (p1 + q2 == 2 * n and p2 + q1 == 2 * n
-            and p2 - p1 == q2 - q1 and p2 - p1 >= 2
-            and max(delta(n, p1, p2), delta(n, q1, q2)) == 1)
+    return _c2(n, require_valid(n, u), require_valid(n, v))
 
 
 def condition_L1(n, u, v):
     """The degree-1 birationality condition on the index pairs."""
-    p1, p2 = require_valid(n, u)
-    q1, q2 = require_valid(n, v)
-    if p2 == 2 * n and q2 == 2 * n:
-        return p1 + q1 <= 2 * n - 1
-    return p1 + q1 <= 2 * n - 1 + min(delta(n, p1, p2), delta(n, q1, q2))
+    return _l1(n, require_valid(n, u), require_valid(n, v))
 
 
 def deg2_birational_case(n, u, v):
     """Which of the three degree-2 birationality cases holds, or None."""
-    p1, p2 = require_valid(n, u)
-    q1, q2 = require_valid(n, v)
+    return _deg2_case(n, require_valid(n, u), require_valid(n, v))
+
+
+# The cores below take basis pairs already validated by a public entry
+# point; delta(n, a, b) = 1 is written inline as a + b > 2n + 1.
+
+def _c1(n, u, v):
     two_n = 2 * n
-    maxd = max(delta(n, p1, p2), delta(n, q1, q2))
-    if p1 + q2 < two_n and p2 + q1 < two_n:
+    return u[0] + v[0] == two_n and u[1] == two_n and v[1] == two_n
+
+
+def _c2(n, u, v):
+    (p1, p2), (q1, q2) = u, v
+    two_n = 2 * n
+    return (p1 + q2 == two_n and p2 + q1 == two_n
+            and p2 - p1 == q2 - q1 and p2 - p1 >= 2
+            and (p1 + p2 > two_n + 1 or q1 + q2 > two_n + 1))
+
+
+def _l1(n, u, v):
+    (p1, p2), (q1, q2) = u, v
+    two_n = 2 * n
+    if p2 == two_n and q2 == two_n:
+        return p1 + q1 <= two_n - 1
+    if p1 + p2 > two_n + 1 and q1 + q2 > two_n + 1:  # min(dp, dq) = 1
+        return p1 + q1 <= two_n
+    return p1 + q1 <= two_n - 1
+
+
+def _deg2_case(n, u, v):
+    (p1, p2), (q1, q2) = u, v
+    two_n = 2 * n
+    a, b = p1 + q2, p2 + q1
+    if a < two_n and b < two_n:
         return 1
-    if p1 + q2 == two_n and p2 + q1 < two_n and maxd == 1:
-        return 2
-    if p1 + q2 < two_n and p2 + q1 == two_n and maxd == 1:
-        return 3
+    if p1 + p2 > two_n + 1 or q1 + q2 > two_n + 1:  # max(dp, dq) = 1
+        if a == two_n and b < two_n:
+            return 2
+        if a < two_n and b == two_n:
+            return 3
     return None
 
 
@@ -156,12 +176,11 @@ def classify(n, u, v, d):
     """Evaluate all predicates for the degree-d evaluation maps of (u, v)."""
     u = require_valid(n, u)
     v = require_valid(n, v)
-    if d < 1:
-        raise ValueError("classification starts at degree 1")
-    c1 = condition_C1(n, u, v)
-    c2 = condition_C2(n, u, v)
-    l1 = condition_L1(n, u, v)
-    case = deg2_birational_case(n, u, v)
+    _check_degree(d)
+    c1 = _c1(n, u, v)
+    c2 = _c2(n, u, v)
+    l1 = _l1(n, u, v)
+    case = _deg2_case(n, u, v)
     if d == 1:
         birational = l1
         two_to_one = c1
@@ -179,22 +198,29 @@ def dim_moduli(n, u, v, d):
     """Dimension of the space of degree-d 3-pointed curves through (X_u, X^v)."""
     u = require_valid(n, u)
     v = require_valid(n, v)
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    out = dim_space(n) + d * fano_index(n) - codim_schubert(n, *u) \
-        - codim_schubert(n, *v)
+    _check_degree(d, lowest=0)
+    return _dim_moduli(n, u, v, d)
+
+
+def _dim_moduli(n, u, v, d):
+    # dim X + d c1 - codim X_u - codim X^v, with codim = dim X - dim
+    out = (d * fano_index(n) - dim_space(n)
+           + _dim_schubert(n, *u) + _dim_schubert(n, *v))
     if d == 2:
-        p1, p2 = u
-        q1, q2 = v
-        assert out == (p1 + p2 + q1 + q2 - 3
-                       - delta(n, p1, p2) - delta(n, q1, q2))
+        (p1, p2), (q1, q2) = u, v
+        assert out == (p1 + p2 + q1 + q2 - 3 - (p1 + p2 > 2 * n + 1)
+                       - (q1 + q2 > 2 * n + 1))
     return out
 
 
-def _check_degree(d):
-    if d < 1:
-        raise ValueError(f"degree {d} is below 1 (degree 0 is the Richardson "
-                         "intersection; use the index operations)")
+def _check_degree(d, lowest=1):
+    """Reject a degree that is not an int (bool included) or is below lowest."""
+    if type(d) is not int:
+        raise ValueError(f"degree must be an integer, got {d!r}")
+    if d < lowest:
+        hint = (" (degree 0 is the Richardson intersection; use the index "
+                "operations)") if lowest == 1 else ""
+        raise ValueError(f"degree {d} is below {lowest}{hint}")
 
 
 def _deg2_meets_set(n, u, v):
@@ -217,15 +243,15 @@ def gamma_pair(n, u, v, d):
     if d == 3:
         return meets_subspace(n, lower_flag(n, p2) | upper_flag(n, q2))
     if d == 2:
-        if deg2_birational_case(n, u, v) is not None:
-            return dim_only(dim_moduli(n, u, v, 2))
+        if _deg2_case(n, u, v) is not None:
+            return dim_only(_dim_moduli(n, u, v, 2))
         return meets_subspace(n, _deg2_meets_set(n, u, v))
     # d == 1
-    if condition_C1(n, u, v):
+    if _c1(n, u, v):
         return whole_space(n)
-    if condition_L1(n, u, v):
+    if _l1(n, u, v):
         if p2 + q2 >= 2 * n + 1:
-            return dim_only(dim_moduli(n, u, v, 1))
+            return dim_only(_dim_moduli(n, u, v, 1))
         return empty_locus()
     return meets_subspace(n, lower_flag(n, p2) & upper_flag(n, q2))
 
@@ -246,11 +272,11 @@ def gamma_broken(n, u, v, d):
             return meets_subspace(n, _deg2_meets_set(n, u, v))
         return empty_locus()
     # d == 1
-    if condition_C1(n, u, v):
+    if _c1(n, u, v):
         return whole_space(n)
-    if condition_L1(n, u, v):
-        if richardson_nonempty(n, u, v):
-            return dim_only(dim_moduli(n, u, v, 1) - 1,
+    if _l1(n, u, v):
+        if _richardson_nonempty(n, u, v):
+            return dim_only(_dim_moduli(n, u, v, 1) - 1,
                             note="divisor inside the degree-1 neighborhood")
         return empty_locus()
     return meets_subspace(n, lower_flag(n, p2) & upper_flag(n, q2))
@@ -263,17 +289,16 @@ def q_support_product(n, u, v):
     from (L1)-birationality or (C1), d = 2 from degree-2 birationality or
     (C2).  The result is asserted to be a nonempty integer interval.
     """
-    u = require_valid(n, u)
-    v = require_valid(n, v)
-    p1, p2 = u
-    q1, q2 = v
+    return _q_support(n, require_valid(n, u), require_valid(n, v))
+
+
+def _q_support(n, u, v):
     support = set()
-    if richardson_nonempty(n, u, v):
+    if _richardson_nonempty(n, u, v):
         support.add(0)
-    if condition_C1(n, u, v) or (
-            condition_L1(n, u, v) and p2 + q2 >= 2 * n + 1):
+    if _c1(n, u, v) or (_l1(n, u, v) and u[1] + v[1] >= 2 * n + 1):
         support.add(1)
-    if condition_C2(n, u, v) or deg2_birational_case(n, u, v) is not None:
+    if _c2(n, u, v) or _deg2_case(n, u, v) is not None:
         support.add(2)
     assert support and max(support) - min(support) + 1 == len(support), \
         (n, u, v, support)
@@ -295,23 +320,21 @@ def seidel_neighborhood(n, u):
 
 
 def gamma_point_pair(n, d):
-    """Membership predicate for the degree-d neighborhood of two general points.
+    """Membership criterion for the degree-d neighborhood of two general points.
 
-    Returns a callable on three planes from the geometry oracle, whose
-    ``membership_suite`` compares it with its verified witnesses.  Degrees
+    Returns a predicate on ds = dim(V_x + V_y + V_z), the span dimension the
+    geometry oracle's ``membership_suite`` computes for each sample z and
+    compares, through this predicate, with its verified witnesses.  Degrees
     d <= 1 are not covered here: membership on a line is V_z containing
     V_x cap V_y inside V_x + V_y.
     """
     _check_n(n)
-    if d <= 1:
-        raise ValueError("no point-pair criterion at degree <= 1")
-    from .oracle import dim_sum
-
+    _check_degree(d, lowest=2)
     if d == 2:
-        return lambda x, y, z: dim_sum(x, y, z) <= 4
+        return lambda ds: ds <= 4
     if d == 3:
-        return lambda x, y, z: dim_sum(x, y, z) <= 5
-    return lambda x, y, z: True
+        return lambda ds: ds <= 5
+    return lambda ds: True
 
 
 def richardson_dim_or_none(n, u, v):

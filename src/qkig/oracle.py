@@ -545,7 +545,7 @@ def membership_suite(n, trials, seed):
             }
             checks += 3
             for what, criterion in criteria.items():
-                expected = criterion(x, y, z)
+                expected = criterion(ds)
                 outcomes[what]["true" if expected else "false"] += 1
                 if witnessed[what] != expected:
                     fail(trial_seed, what, x, y, z, extra={"dim_sum": ds})

@@ -97,7 +97,12 @@ def delta(n, a, b):
 def dim_schubert(n, a, b):
     """Dimension of the Schubert variety indexed by (a, b)."""
     require_valid(n, (a, b))
-    return a + b - 3 - delta(n, a, b)
+    return _dim_schubert(n, a, b)
+
+
+def _dim_schubert(n, a, b):
+    """dim_schubert for a trusted basis pair."""
+    return a + b - 3 - (a + b > 2 * n + 1)
 
 
 def codim_schubert(n, a, b):
@@ -131,8 +136,12 @@ def richardson_nonempty(n, u, v):
 
     u indexes X_u for the standard flag, v indexes X^v for the opposite flag.
     """
-    p1, p2 = require_valid(n, u)
-    q1, q2 = require_valid(n, v)
+    return _richardson_nonempty(n, require_valid(n, u), require_valid(n, v))
+
+
+def _richardson_nonempty(n, u, v):
+    """richardson_nonempty for trusted basis pairs."""
+    (p1, p2), (q1, q2) = u, v
     return p1 + q2 >= 2 * n + 1 and p2 + q1 >= 2 * n + 1
 
 

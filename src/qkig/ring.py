@@ -22,7 +22,7 @@ from .pairs import (
     require_valid,
     unit_pair,
 )
-from .neighborhoods import condition_C1, condition_C2
+from .neighborhoods import _c1, _c2
 
 
 class UnsupportedFamilyError(ValueError):
@@ -344,7 +344,7 @@ def product_C1(n, u, v):
     """Product O_u * O^v when (C1) holds: p1 + q1 = 2n = p2 = q2."""
     u = require_valid(n, u)
     v = require_valid(n, v)
-    if not condition_C1(n, u, v):
+    if not _c1(n, u, v):
         raise UnsupportedFamilyError(
             f"condition (C1) fails for u={u}, v={v}, n={n}")
     out = richardson_special_expand(n, u[0])
@@ -355,7 +355,7 @@ def product_C2(n, u, v):
     """Product O_u * O^v when (C2) holds."""
     u = require_valid(n, u)
     v = require_valid(n, v)
-    if not condition_C2(n, u, v):
+    if not _c2(n, u, v):
         raise UnsupportedFamilyError(
             f"condition (C2) fails for u={u}, v={v}, n={n}")
     out = richardson_special_expand(n, u[0] + v[0]).times_q(1)
@@ -366,9 +366,9 @@ def special_product(n, u, v):
     """The C1 or C2 product for (u, v); raises UnsupportedFamilyError otherwise."""
     u = require_valid(n, u)
     v = require_valid(n, v)
-    if condition_C1(n, u, v):
+    if _c1(n, u, v):
         return product_C1(n, u, v)
-    if condition_C2(n, u, v):
+    if _c2(n, u, v):
         return product_C2(n, u, v)
     raise UnsupportedFamilyError(
         f"unsupported family: u={u}, v={v} satisfy neither (C1) nor (C2) for n={n}")

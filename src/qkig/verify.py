@@ -66,9 +66,9 @@ def _c1_c2_products(n):
     basis = basis_list(n)
     for u in basis:
         for v in basis:
-            if nb.condition_C1(n, u, v):
+            if nb._c1(n, u, v):
                 yield "C1", u, v, ring.product_C1(n, u, v)
-            if nb.condition_C2(n, u, v):
+            if nb._c2(n, u, v):
                 yield "C2", u, v, ring.product_C2(n, u, v)
 
 
@@ -120,7 +120,7 @@ def run_interval(n_max):
                     failures.append({"n": n, "u": u, "v": v, "what": "bound"})
                 if not _is_interval(sup):
                     failures.append({"n": n, "u": u, "v": v, "what": "interval"})
-                if sup != nb.q_support_product(n, u, v):
+                if sup != nb._q_support(n, u, v):
                     failures.append({"n": n, "u": u, "v": v,
                                      "what": "support_agreement"})
         for _, u, v, prod in _c1_c2_products(n):
@@ -128,19 +128,26 @@ def run_interval(n_max):
             checks += 2
             if not (sup <= {0, 1, 2} and _is_interval(sup)):
                 failures.append({"n": n, "u": u, "v": v, "what": "bound"})
-            if sup != nb.q_support_product(n, u, v):
+            if sup != nb._q_support(n, u, v):
                 failures.append({"n": n, "u": u, "v": v,
                                  "what": "support_agreement"})
-        for u in basis:
-            for v in basis:
-                checks += 2
-                sup = nb.q_support_product(n, u, v)
-                if not _is_interval(sup):
-                    failures.append({"n": n, "u": u, "v": v,
-                                     "what": "predicted_interval"})
-                if sup != nb.q_support_product(n, v, u):
-                    failures.append({"n": n, "u": u, "v": v,
-                                     "what": "symmetry"})
+        # the prediction sweep over unordered pairs; each ordered pair still
+        # counts its own interval and symmetry checks
+        for i, u in enumerate(basis):
+            for v in basis[i:]:
+                sup_uv = nb._q_support(n, u, v)
+                ordered = [(u, v, sup_uv)]
+                if v != u:
+                    ordered.append((v, u, nb._q_support(n, v, u)))
+                symmetric = ordered[-1][2] == sup_uv
+                for a, b, sup in ordered:
+                    checks += 2
+                    if not _is_interval(sup):
+                        failures.append({"n": n, "u": a, "v": b,
+                                         "what": "predicted_interval"})
+                    if not symmetric:
+                        failures.append({"n": n, "u": a, "v": b,
+                                         "what": "symmetry"})
     return _report("interval", {"n_max": n_max}, checks, failures)
 
 

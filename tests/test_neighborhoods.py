@@ -201,17 +201,88 @@ def test_descriptor_dimension_consistency(n):
 
 
 def test_gamma_point_pair():
-    from qkig.oracle import coordinate_plane
+    # the criteria are predicates on ds = dim(V_x + V_y + V_z)
+    from qkig.oracle import coordinate_plane, dim_sum
     x = coordinate_plane(3, 1, 2)
     y = coordinate_plane(3, 5, 6)
-    assert gamma_point_pair(3, 2)(x, y, x)
-    assert gamma_point_pair(3, 4)(x, y, coordinate_plane(3, 3, 6))
+    assert gamma_point_pair(3, 2)(dim_sum(x, y, x))
+    assert gamma_point_pair(3, 4)(dim_sum(x, y, coordinate_plane(3, 3, 6)))
     # a plane meeting the span in one direction: degree 3 yes, degree 2 no
-    z = coordinate_plane(3, 1, 3)
-    assert gamma_point_pair(3, 3)(x, y, z)
-    assert not gamma_point_pair(3, 2)(x, y, z)
-    with pytest.raises(ValueError):
-        gamma_point_pair(3, 1)
+    ds = dim_sum(x, y, coordinate_plane(3, 1, 3))
+    assert ds == 5
+    assert gamma_point_pair(3, 3)(ds)
+    assert not gamma_point_pair(3, 2)(ds)
+    assert [gamma_point_pair(3, d)(6) for d in (2, 3, 4)] == \
+        [False, False, True]
+    for bad in (1, 0, 2.0, True):
+        with pytest.raises(ValueError, match="degree"):
+            gamma_point_pair(3, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: gamma_pair(3, (1, 3), (3, 5), d),
+    lambda d: gamma_broken(3, (1, 3), (3, 5), d),
+    lambda d: classify(3, (1, 3), (3, 5), d),
+    lambda d: dim_moduli(3, (1, 3), (3, 5), d),
+])
+@pytest.mark.parametrize("d", [2.5, 1.5, True, False, "2", None])
+def test_non_integer_degree_is_rejected(call, d):
+    with pytest.raises(ValueError, match=f"degree must be an integer, got {d!r}"):
+        call(d)
+
+
+def test_degree_lower_bounds():
+    u, v = (1, 3), (3, 5)
+    for fn in (gamma_pair, gamma_broken, classify):
+        with pytest.raises(ValueError, match="degree 0 is below 1"):
+            fn(3, u, v, 0)
+        assert fn(3, u, v, 1) is not None
+    with pytest.raises(ValueError, match="degree -1 is below 0"):
+        dim_moduli(3, u, v, -1)
+    assert dim_moduli(3, u, v, 0) == 7 - 6 - 3  # dim X - codims
+    # an invalid pair is reported before the degree
+    with pytest.raises(InvalidPairError):
+        classify(3, (1, 6), v, 2.5)
+
+
+def _counting(monkeypatch, module):
+    from qkig.pairs import require_valid
+    calls = []
+
+    def counting(n, pair):
+        calls.append(pair)
+        return require_valid(n, pair)
+
+    monkeypatch.setattr(module, "require_valid", counting)
+    return calls
+
+
+def test_sweeps_do_not_revalidate(monkeypatch):
+    import qkig.neighborhoods
+    from qkig import verify
+    calls = _counting(monkeypatch, qkig.neighborhoods)
+    for report in (verify.run_interval(6), verify.run_signs(6)):
+        assert report["checks"] > 0 and report["failures"] == []
+    assert calls == []
+
+
+def test_reconstruction_validates_once(monkeypatch):
+    import qkig.chi
+    from qkig import verify
+    calls = _counting(monkeypatch, qkig.chi)
+    reconstructions = []
+    for name in ("reconstruct_xuv", "reconstruct_classical_chevalley"):
+        original = getattr(qkig.chi, name)
+
+        def counted(*args, _original=original):
+            reconstructions.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(qkig.chi, name, counted)
+    report = verify.run_brion(6)
+    assert report["checks"] == len(reconstructions) > 0
+    assert report["failures"] == []
+    assert len(calls) <= len(reconstructions)
 
 
 def _neighborhoods_record(n, u, v):
