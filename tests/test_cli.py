@@ -270,3 +270,12 @@ def test_golden_apply_word():
             digest.update(repr((n, word, out.to_dict())).encode())
     assert digest.hexdigest() == (
         "225bca7659e5790e59da505f09dd5548b781396928af124f51a05214b912b910")
+
+
+def test_verify_output_is_pinned(capsys):
+    # every suite's check count, failure count and params, and the exit code
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--n-max", "6",
+                                "--trials", "20", "--seed", "7"])
+    digest = hashlib.sha256(repr((code, out)).encode()).hexdigest()
+    assert digest == (
+        "654d9cb538ec97998aafe41a7add9793903a481509a5bb10d09708acb196f3d5")

@@ -207,6 +207,34 @@ def test_gamma3_witness():
     assert seen_none
 
 
+def _reference_gamma3(n, x, y, z):
+    """The degree-3 witness built in the ambient space: the omega-orthogonal
+    of V_z as a nullspace of its dual rows, then met with V_x + V_y."""
+    span = stack(x.rows, y.rows)
+    meet = intersect_rowspaces(span, z.rows)
+    if not meet:
+        return None
+    units = [[int(j == i) for j in range(2 * n)] for i in range(2 * n)]
+    dual = [[omega(n, r, e) for e in units] for r in z.rows]
+    perp = nullspace(dual, ncols=2 * n)
+    w = next(c for c in intersect_rowspaces(span, perp)
+             if rank([meet[0], c]) == 2)
+    return Plane2(n, [meet[0], w])
+
+
+def test_gamma3_witness_matches_reference():
+    from qkig.oracle import _sample_z
+    for n in (2, 3, 4, 5):
+        for seed in range(20):
+            rng = random.Random(seed)
+            x, y = general_position_pair(n, rng=rng)
+            span = row_basis(stack(x.rows, y.rows))
+            for mode in ("inside", "touch", "generic"):
+                z = _sample_z(n, span, mode, rng)
+                expected = _reference_gamma3(n, x, y, z)
+                assert gamma3_witness(x, y, z) == expected, (n, seed, mode)
+
+
 def test_gamma4_witness_always_succeeds():
     rng = random.Random(2)
     for n in (2, 3):
