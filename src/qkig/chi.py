@@ -76,8 +76,8 @@ def _chi_chevalley(n, q, r):
 
 
 def _check_p(n, p):
-    if not 1 <= p <= n:
-        raise ValueError(f"p must lie in [1, n], got {p}")
+    if type(p) is not int or not 1 <= p <= n:
+        raise ValueError(f"p must lie in [1, n], got {p!r}")
 
 
 def _reconstruct(n, chi_of_opposite_pair):

@@ -3,10 +3,12 @@
 Points of IG(2, 2n) are rank-2 row spaces of 2 x 2n integer matrices,
 stored in a canonical primitive-integer form.  Every arithmetic step is
 exact integer arithmetic; ranks, meets and orthogonals come from the
-fraction-free elimination of ``linalg``.  The constructions mirror
-the curve-chain arguments behind the closed formulas: two-line chains
-through general points, degree-3 and degree-4 witnesses, Richardson and
-line points built from flag intersections.  Constructors only build; the
+fraction-free elimination of ``linalg``.  Membership in an opposite
+Schubert variety is membership in the standard one in reversed
+coordinates.  The constructions mirror the curve-chain arguments behind
+the closed formulas: two-line chains through general points, degree-3 and
+degree-4 witnesses drawn inside V_x + V_y, Richardson and line points
+built from flag intersections.  Constructors only build; the
 public ``verify_*`` functions check a witness against the incidence and
 isotropy conditions it claims, and ``membership_suite`` runs each check
 once, comparing the outcomes with the point-pair criteria of
@@ -47,20 +49,6 @@ def omega(n, u, v):
     # pairs u_i with v_{2n-1-i} for i < n, both factors sliced at C level
     return (sum(map(mul, u[:n], v[2 * n - 1:n - 1:-1]))
             - sum(map(mul, u[2 * n - 1:n - 1:-1], v[:n])))
-
-
-def omega_dual(n, u):
-    """Row vector w with omega(u, x) = w . x for all x."""
-    out = [0] * (2 * n)
-    for j in range(2 * n):
-        out[j] = u[2 * n - 1 - j] if j >= n else -u[2 * n - 1 - j]
-    return out
-
-
-def perp_basis(n, rows):
-    """Basis of the omega-orthogonal of the span of ``rows``."""
-    mat = [omega_dual(n, r) for r in rows]
-    return nullspace(mat, ncols=2 * n)
 
 
 class Plane2:
@@ -118,10 +106,6 @@ def dim_intersect(a, b):
     return da + db - dim_sum(a, b)
 
 
-def intersect_basis(a, b):
-    return intersect_rowspaces(_rows_of(a), _rows_of(b))
-
-
 def gram_rank(n, *objs):
     """Rank of the symplectic form restricted to the span of the arguments.
 
@@ -143,36 +127,24 @@ def coordinate_plane(n, i, j):
     return Plane2(n, _unit_rows(2 * n, (i - 1, j - 1)))
 
 
-def _support_within(plane, lo, hi):
-    """All row support inside 1-based columns [lo, hi]."""
-    for row in plane.rows:
-        for idx, x in enumerate(row, start=1):
-            if x != 0 and not lo <= idx <= hi:
-                return False
-    return True
+def _dim_meet_prefix(rows, k):
+    """dim of the span of two independent rows met with <e_1, ..., e_k>."""
+    return 2 - rank([r[k:] for r in rows])
 
 
-def _dim_meet_prefix(plane, k):
-    """dim of the row space intersected with <e_1, ..., e_k>."""
-    tail = [r[k:] for r in plane.rows]
-    return 2 - rank(tail)
-
-
-def _dim_meet_suffix(plane, k):
-    """dim of the row space intersected with <e_{2n+1-k}, ..., e_{2n}>."""
-    two_n = 2 * plane.n
-    head = [r[:two_n - k] for r in plane.rows]
-    return 2 - rank(head)
+def _reversed(rows):
+    """Rows in reversed coordinates, e_i <-> e_{2n+1-i}: E^k maps onto E_k."""
+    return [r[::-1] for r in rows]
 
 
 def in_schubert(n, plane, pair, opposite=False):
-    """Exact membership of a plane in the (closed) Schubert variety of ``pair``."""
+    """Exact membership of a plane in the (closed) Schubert variety of ``pair``.
+
+    The opposite variety is the standard one in reversed coordinates.
+    """
     a, b = require_valid(n, pair)
-    if opposite:
-        return (_support_within(plane, 2 * n + 1 - b, 2 * n)
-                and _dim_meet_suffix(plane, a) >= 1)
-    return (_support_within(plane, 1, b)
-            and _dim_meet_prefix(plane, a) >= 1)
+    rows = _reversed(plane.rows) if opposite else plane.rows
+    return _dim_meet_prefix(rows, b) == 2 and _dim_meet_prefix(rows, a) >= 1
 
 
 def _rng_of(seed, rng):
@@ -218,9 +190,10 @@ def _partner_plane(n, a, candidate, within=None):
                 break
         else:
             return None  # a pairs to zero with the whole span; candidate unusable
-    if not any(b) or rank([a, b]) != 2:
+    try:
+        plane = Plane2(n, [a, b])
+    except GeometryError:  # b is zero or parallel to a
         return None
-    plane = Plane2(n, [a, b])
     return plane if plane.is_isotropic() else None
 
 
@@ -258,13 +231,12 @@ def random_point_in_cell(n, pair, orientation="standard", seed=None, rng=None):
         if plane is None:
             continue
         # also rejects a partner inside E_{b-1}: it meets E_{b-1} in dimension 2
-        profile_ok = all(
-            _dim_meet_prefix(plane, k) == (1 if k >= a else 0) + (1 if k >= b else 0)
-            for k in range(1, two_n + 1))
+        profile_ok = all(_dim_meet_prefix(plane.rows, k) == (k >= a) + (k >= b)
+                         for k in range(1, two_n + 1))
         if not profile_ok:
             continue
         if orientation == "opposite":
-            plane = Plane2(n, [list(reversed(r)) for r in plane.rows])
+            plane = Plane2(n, _reversed(plane.rows))
         return plane
     raise SamplingError(f"cell sampling failed for n={n}, pair={pair}")
 
@@ -317,21 +289,25 @@ def gamma3_witness(x, y, z):
     span a line while x, y, t sit on a common conic), or None when the span
     of the three planes is too big for one to exist.
     """
-    n = x.n
     if dim_sum(x, y) != 4:
         raise GeometryError("x and y must span a 4-space")
-    span = stack(_rows_of(x), _rows_of(y))
-    meet = intersect_basis(span, z)
+    return _gamma3_in_span(x.n, stack(x.rows, y.rows), z)
+
+
+def _gamma3_in_span(n, span, z):
+    """Degree-3 witness inside ``span``, a basis of V_x + V_y, or None when
+    V_z misses the span."""
+    z_rows = _rows_of(z)
+    meet = intersect_rowspaces(span, z_rows)
     if not meet:
         return None
     v = meet[0]
-    w = None
-    for cand in intersect_rowspaces(span, perp_basis(n, _rows_of(z))):
-        if rank([v, cand]) == 2:
-            w = cand
-            break
-    if w is None:
-        raise GeometryError("no independent direction in the orthogonal slice")
+    # c . span lies in the omega-orthogonal of V_z iff c kills this pairing
+    pairing = [[omega(n, s, r) for s in span] for r in z_rows]
+    orth = rref([[sum(map(mul, c, col)) for col in zip(*span)]
+                 for c in nullspace(pairing)])
+    # the slice has dimension >= 2, so some row is independent of v
+    w = next(c for c in orth if rank([v, c]) == 2)
     return Plane2(n, [v, w])
 
 
@@ -412,10 +388,10 @@ def richardson_witness(n, u, v, seed=None, rng=None):
         if not support1:
             raise SamplingError(
                 f"no isotropic witness support for u={u}, v={v}, n={n}")
+    units2 = _unit_rows(two_n, (k - 1 for k in support2))
     for _ in range(_MAX_TRIES):
         a = _random_vector(rng, two_n, support=support1)
-        dual = omega_dual(n, a)
-        pairing = [dual[k - 1] for k in support2]  # omega(a, e_k)
+        pairing = [omega(n, a, e) for e in units2]
         if all(c == 0 for c in pairing):
             b = _random_vector(rng, two_n, support=support2)
         else:
@@ -536,7 +512,7 @@ def membership_suite(n, trials, seed):
         for mode in ("inside", "touch", "generic"):
             z = _sample_z(n, span, mode, rng)
             ds = dim_sum(x, y, z)
-            t3 = gamma3_witness(x, y, z)
+            t3 = _gamma3_in_span(n, span, z)
             t4 = _gamma4_in_span(n, span, z, rng)
             witnessed = {
                 "deg2": conic_span and z.is_isotropic() and ds == 4,

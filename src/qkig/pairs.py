@@ -60,7 +60,7 @@ def is_valid_pair(n, a, b):
 def explain_invalid(n, a, b):
     """Reason string if (a, b) is not a basis pair, else None."""
     _check_n(n)
-    if not (isinstance(a, int) and isinstance(b, int)):
+    if not (type(a) is int and type(b) is int):
         return "indices must be integers"
     if a >= b:
         return f"need a < b, got a={a}, b={b}"

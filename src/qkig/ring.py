@@ -15,7 +15,8 @@ from typing import NamedTuple
 from .pairs import (
     InvalidPairError,
     _check_n,
-    codim_schubert,
+    _dim_schubert,
+    dim_space,
     divisor_pair,
     fano_index,
     is_valid_pair,
@@ -48,6 +49,8 @@ def normalize_extended(n, a, b):
     the recursion terminates in at most two steps for a > -2n.
     """
     _check_n(n)
+    if not (type(a) is int and type(b) is int):
+        raise InvalidPairError(f"indices must be integers, got ({a!r},{b!r})")
     if a >= b:
         raise InvalidPairError(f"extended index needs a < b, got ({a},{b})")
     return _normalize(n, a, b)
@@ -136,14 +139,14 @@ class RingElement:
         return self.q_part(0)
 
     def times_q(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError(f"q-shift must be a nonnegative integer, got {k!r}")
         if k == 0:
             return self
         return self._from_valid(self.n, {(d + k, p): c for (d, p), c in self._terms.items()})
 
     def scale(self, k):
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise TypeError(f"scalar must be an integer, got {k!r}")
         return self._from_valid(self.n, {key: k * c for key, c in self._terms.items()})
 
@@ -315,8 +318,8 @@ def richardson_special_expand(n, p):
     class equals the one for 2n - p (translates share a K-class).
     """
     _check_n(n)
-    if not 1 <= p <= 2 * n - 1:
-        raise ValueError(f"p must lie in [1, 2n-1], got {p}")
+    if type(p) is not int or not 1 <= p <= 2 * n - 1:
+        raise ValueError(f"p must lie in [1, 2n-1], got {p!r}")
     if p > n:
         p = 2 * n - p
     terms = []
@@ -337,7 +340,7 @@ def richardson_special_expand(n, p):
             terms.append((-3, (k, 2 * n - 1 - k)))
         for k in range(1, n - 1):
             terms.append((1, (k, 2 * n - 2 - k)))
-    return RingElement(n, _basis_terms(n, terms))
+    return RingElement._from_valid(n, _basis_terms(n, terms))
 
 
 def product_C1(n, u, v):
@@ -348,7 +351,8 @@ def product_C1(n, u, v):
         raise UnsupportedFamilyError(
             f"condition (C1) fails for u={u}, v={v}, n={n}")
     out = richardson_special_expand(n, u[0])
-    return out + RingElement(n, {(1, unit_pair(n)): -1, (1, divisor_pair(n)): 1})
+    return out + RingElement._from_valid(
+        n, {(1, unit_pair(n)): -1, (1, divisor_pair(n)): 1})
 
 
 def product_C2(n, u, v):
@@ -359,7 +363,8 @@ def product_C2(n, u, v):
         raise UnsupportedFamilyError(
             f"condition (C2) fails for u={u}, v={v}, n={n}")
     out = richardson_special_expand(n, u[0] + v[0]).times_q(1)
-    return out + RingElement(n, {(2, unit_pair(n)): -1, (2, divisor_pair(n)): 1})
+    return out + RingElement._from_valid(
+        n, {(2, unit_pair(n)): -1, (2, divisor_pair(n)): 1})
 
 
 def special_product(n, u, v):
@@ -402,9 +407,10 @@ def sign_check(element, cu, cv):
     """
     n = element.n
     r = fano_index(n)
+    top = dim_space(n)
     violations = []
     for (d, pair), coeff in element.sorted_terms():
-        cw = codim_schubert(n, *pair)
+        cw = top - _dim_schubert(n, *pair)  # the element's keys are valid
         parity = (cu + cv + cw + d * r) % 2
         if (-1) ** parity * coeff < 0:
             violations.append({"q": d, "pair": pair, "coeff": coeff,

@@ -206,10 +206,9 @@ def run_bruhat(n_max, seed):
                 if (witness is not None) != richardson_nonempty(n, u, v):
                     failures.append({"n": n, "u": u, "v": v,
                                      "what": "richardson"})
-                # a line meets both varieties iff p2 + q2 >= 2n + 1, the
-                # nonemptiness rule behind the degree-1 q-support clause
                 line = oracle.line_witness(n, u, v, seed=seed)
-                if (line is not None) != (u[1] + v[1] >= 2 * n + 1):
+                expected = nb.gamma_pair(n, u, v, 1).kind != "empty"
+                if (line is not None) != expected:
                     failures.append({"n": n, "u": u, "v": v, "what": "line"})
     return _report("bruhat", {"n_max": min(n_max, 5), "seed": seed},
                    checks, failures)

@@ -48,6 +48,11 @@ def test_chi_xuv_table():
         chi_xuv(3, 2, (1, 6))
     with pytest.raises(ValueError):
         chi_xuv(3, 4, (2, 6))
+    for bad in (1.5, True, 0):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            chi_xuv(3, bad, (2, 6))
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            reconstruct_xuv(3, bad)
 
 
 def test_chi_chevalley_table():

@@ -27,11 +27,9 @@ from qkig.oracle import (
     general_position_pair,
     gram_rank,
     in_schubert,
-    intersect_basis,
     line_witness,
     membership_suite,
     omega,
-    perp_basis,
     random_isotropic_plane,
     random_point_in_cell,
     richardson_witness,
@@ -131,8 +129,7 @@ def test_dim_helpers():
     x = coordinate_plane(3, 1, 2)
     assert dim_sum(x, x) == 2
     assert dim_intersect(x, coordinate_plane(3, 1, 6)) == 1
-    assert perp_basis(3, x.rows) and len(perp_basis(3, x.rows)) == 4
-    meet = intersect_basis(x, coordinate_plane(3, 2, 3))
+    meet = intersect_rowspaces(x.rows, coordinate_plane(3, 2, 3).rows)
     assert len(meet) == 1
 
 
@@ -162,15 +159,15 @@ def test_random_point_in_cell():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_cell_is_sampleable(n):
     # the flag profile of a cell point jumps exactly at the two indices
-    from qkig.oracle import _dim_meet_prefix, _dim_meet_suffix
+    from qkig.oracle import _dim_meet_prefix, _reversed
     for pair in basis_list(n):
         a, b = pair
         for orient in ("standard", "opposite"):
             p = random_point_in_cell(n, pair, orientation=orient, seed=13)
             assert p.is_isotropic()
             assert in_schubert(n, p, pair, opposite=(orient == "opposite"))
-            meet = _dim_meet_suffix if orient == "opposite" else _dim_meet_prefix
-            profile = [meet(p, k) for k in range(1, 2 * n + 1)]
+            rows = _reversed(p.rows) if orient == "opposite" else p.rows
+            profile = [_dim_meet_prefix(rows, k) for k in range(1, 2 * n + 1)]
             assert profile == [(k >= a) + (k >= b) for k in range(1, 2 * n + 1)]
 
 
@@ -223,7 +220,7 @@ def _reference_gamma3(n, x, y, z):
 
 
 def test_gamma3_witness_matches_reference():
-    from qkig.oracle import _sample_z
+    from qkig.oracle import _gamma3_in_span, _sample_z
     for n in (2, 3, 4, 5):
         for seed in range(20):
             rng = random.Random(seed)
@@ -233,6 +230,7 @@ def test_gamma3_witness_matches_reference():
                 z = _sample_z(n, span, mode, rng)
                 expected = _reference_gamma3(n, x, y, z)
                 assert gamma3_witness(x, y, z) == expected, (n, seed, mode)
+                assert _gamma3_in_span(n, span, z) == expected, (n, seed, mode)
 
 
 def test_gamma4_witness_always_succeeds():
@@ -288,7 +286,7 @@ def test_membership_suite_records_planted_failures(monkeypatch):
     # a non-isotropic plane passed off as every degree-3 and degree-4 witness
     from qkig import oracle
     bad = Plane2(3, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]])
-    monkeypatch.setattr(oracle, "gamma3_witness", lambda x, y, z: bad)
+    monkeypatch.setattr(oracle, "_gamma3_in_span", lambda n, span, z: bad)
     monkeypatch.setattr(oracle, "_gamma4_in_span", lambda n, span, z, rng: bad)
     rep = membership_suite(3, 2, seed=5)
     s0, s1 = 5 * 1_000_003, 5 * 1_000_003 + 1
@@ -409,7 +407,7 @@ def test_sample_z_modes_and_partner_plane():
             generic = _sample_z(n, span, "generic", rng)
             assert all(z.is_isotropic() for z in (inside, touch, generic))
             assert dim_sum(x, y, inside) == 4
-            assert intersect_basis(stack(x.rows, y.rows), touch)
+            assert intersect_rowspaces(stack(x.rows, y.rows), touch.rows)
             for within in (None, x.rows + y.rows):
                 a = [rng.randint(-3, 3) for _ in range(2 * n)]
                 cand = [rng.randint(-3, 3) for _ in range(2 * n)]

@@ -29,6 +29,13 @@ def test_is_valid_pair():
     assert not is_valid_pair(3, 2, 7)
 
 
+def test_bool_and_float_indices_are_rejected():
+    for a, b in ((True, 5), (1, True), (1.0, 5), (2, 6.0)):
+        assert explain_invalid(3, a, b) == "indices must be integers"
+        with pytest.raises(InvalidPairError, match="indices must be integers"):
+            require_valid(3, (a, b))
+
+
 @settings(max_examples=500, derandomize=True)
 @given(st.integers(-1, 9) | st.booleans(), st.data())
 def test_require_valid_agrees_with_explain_invalid(n, data):

@@ -46,6 +46,9 @@ def test_normalize_examples():
     assert out.pair is None and not out.antidiagonal
     with pytest.raises(InvalidPairError):
         normalize_extended(3, 4, 4)
+    for a, b in ((1.0, 2.0), (True, 2)):
+        with pytest.raises(InvalidPairError, match="indices must be integers"):
+            normalize_extended(3, a, b)
 
 
 @settings(max_examples=300, derandomize=True)
@@ -120,8 +123,8 @@ def test_richardson_special_expand():
               (0, (1, 4)): -3, (0, (1, 3)): 1})
     assert richardson_special_expand(3, 4) == richardson_special_expand(3, 2)
     assert richardson_special_expand(3, 1) == O(3, (1, 5))
-    for bad in (0, 6, -1):
-        with pytest.raises(ValueError):
+    for bad in (0, 6, -1, 1.5, True):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
             richardson_special_expand(3, bad)
 
 
@@ -223,6 +226,12 @@ def test_element_validation_and_canonical_form():
         e.times_q(-1)
     with pytest.raises(ValueError):
         e.times_q(1.5)
+    with pytest.raises(ValueError):
+        e.times_q(True)  # a bool is not a q-shift
+    with pytest.raises(TypeError):
+        e.scale(True)
+    with pytest.raises(InvalidPairError):
+        E.basis(3, (True, 5))
 
 
 def test_operators_do_not_mutate_inputs():
@@ -291,3 +300,26 @@ def test_apply_word_does_not_revalidate(monkeypatch):
     out = apply_word(6, word, start)
     assert len(word) == 24 and len(out.sorted_terms()) > 1
     assert calls == []
+
+
+def test_sign_rule_and_expansions_do_not_revalidate(monkeypatch):
+    import qkig.pairs
+    import qkig.ring
+    from qkig import verify
+    from qkig.pairs import require_valid
+
+    calls = []
+
+    def counting(n, pair):
+        calls.append(pair)
+        return require_valid(n, pair)
+
+    prod = product_C1(6, (3, 12), (9, 12))
+    cu, cv = codim_schubert(6, 3, 12), codim_schubert(6, 9, 12)
+    for module in (qkig.pairs, qkig.ring):
+        monkeypatch.setattr(module, "require_valid", counting)
+    assert sign_check(prod, cu, cv)[0] and len(prod.sorted_terms()) > 1
+    assert richardson_special_expand(6, 4) and calls == []
+    # what is left: the codimensions of the factors and the public products
+    verify.run_signs(6)
+    assert len(calls) <= 630
