@@ -306,3 +306,34 @@ def test_neighborhoods_outputs_are_pinned():
     canon = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canon.encode()).hexdigest() == (
         "71d7d6c50bac34f18a0477701a3beeef4e0992555377571872ce32265d3d4d2d")
+
+
+def test_record_types_repr_equality_hash_and_immutability():
+    meets = meets_subspace(3, [2, 1])
+    assert repr(meets) == \
+        "Descriptor(kind='meets', indices=(1, 2), dim=4, note='')"
+    assert repr(Descriptor("empty")) == \
+        "Descriptor(kind='empty', indices=(), dim=None, note='')"
+    assert repr(Descriptor("dim_only", dim=5, note="x")) == \
+        "Descriptor(kind='dim_only', indices=(), dim=5, note='x')"
+    c = classify(3, (1, 3), (3, 5), 1)
+    assert repr(c) == (
+        "Classification(n=3, u=(1, 3), v=(3, 5), degree=1, c1=False, "
+        "c2=True, l1=True, deg2_case=None, ev_birational=True, "
+        "ev_broken_two_to_one=False, gamma_equal=False)")
+    # value equality and value hashing, so records work as set/dict keys
+    again = Descriptor("meets", (1, 2), 4)
+    assert meets == again and hash(meets) == hash(again)
+    assert meets != Descriptor("meets", (1, 2), 4, note="x")
+    assert meets != Descriptor("meets", (1, 3), 4)
+    assert len({meets, again, Descriptor("empty")}) == 2
+    assert c == classify(3, (1, 3), (3, 5), 1)
+    assert hash(c) == hash(classify(3, (1, 3), (3, 5), 1))
+    assert c != classify(3, (1, 3), (3, 5), 2)
+    assert len({c, classify(3, (1, 3), (3, 5), 1)}) == 1
+    # immutable: neither a field nor a new attribute can be set
+    for record, name in ((meets, "kind"), (meets, "extra"),
+                         (c, "degree"), (c, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert meets.kind == "meets" and c.degree == 1
