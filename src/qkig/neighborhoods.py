@@ -11,7 +11,7 @@ onto these neighborhoods are birational, have rationally connected fibers, or
 are generically two-to-one, which in turn pins the q-support of the products.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pairs import (
     _check_n,
@@ -41,8 +41,7 @@ def upper_flag(n, q):
     return frozenset(range(2 * n + 1 - q, 2 * n + 1))
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     """Symbolic description of a curve neighborhood.
 
     kind: "whole" | "empty" | "meets" | "dim_only".  For "meets", ``indices``
@@ -145,8 +144,7 @@ def _deg2_case(n, u, v):
     return None
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Predicates for the evaluation maps of (u, v) at a fixed degree."""
     n: int
     u: tuple

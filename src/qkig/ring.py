@@ -387,14 +387,16 @@ def chevalley_q_part_geometric(n, v):
     """
     q1, q2 = require_valid(n, v)
     top = 2 * n
+    # trusted keys: (a, top) is a basis pair for every 2 <= a < top
     if (q1, q2) == (2, top):
-        return RingElement(n, {(1, unit_pair(n)): -1, (1, divisor_pair(n)): 1})
+        return RingElement._from_valid(
+            n, {(1, unit_pair(n)): -1, (1, divisor_pair(n)): 1})
     if q1 == 1 and q2 <= top - 1:
         out = {(1, (q2, top)): 1}
-        if is_valid_pair(n, q2 - 1, top):
+        if q2 > 2:
             # at q2 = 2 the Richardson behind the boundary term is empty
             out[(1, (q2 - 1, top))] = -1
-        return RingElement(n, out)
+        return RingElement._from_valid(n, out)
     return RingElement.zero(n)
 
 

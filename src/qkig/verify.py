@@ -7,9 +7,10 @@ line exposes them under ``verify``; the acceptance tests assert on them.
 
 from . import chi, neighborhoods as nb, oracle, ring
 from .pairs import (
+    _dim_schubert,
     basis_list,
     bruhat_leq,
-    codim_schubert,
+    dim_space,
     divisor_pair,
     richardson_nonempty,
     seidel_pair,
@@ -77,10 +78,11 @@ def run_signs(n_max):
     checks = 0
     failures = []
     for n in range(2, n_max + 1):
-        c_div = codim_schubert(n, *divisor_pair(n))
-        c_sei = codim_schubert(n, *seidel_pair(n))
+        top = dim_space(n)  # codimension = top - dimension, on basis pairs
+        c_div = top - _dim_schubert(n, *divisor_pair(n))
+        c_sei = top - _dim_schubert(n, *seidel_pair(n))
         for v in basis_list(n):
-            cv = codim_schubert(n, *v)
+            cv = top - _dim_schubert(n, *v)
             e = ring.RingElement.basis(n, v)
             for cu, prod in ((c_div, ring.quantum_chevalley(n, e)),
                              (c_sei, ring.seidel(n, e))):
@@ -90,8 +92,8 @@ def run_signs(n_max):
                     failures.append({"n": n, "v": v, "cu": cu,
                                      "violations": bad})
         for kind, u, v, prod in _c1_c2_products(n):
-            ok, bad = ring.sign_check(
-                prod, codim_schubert(n, *u), codim_schubert(n, *v))
+            ok, bad = ring.sign_check(prod, top - _dim_schubert(n, *u),
+                                      top - _dim_schubert(n, *v))
             checks += 1
             if not ok:
                 failures.append({"n": n, "u": u, "v": v, "kind": kind,

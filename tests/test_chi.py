@@ -29,6 +29,25 @@ def test_zeta_structure():
     assert m == [[1, 0, 0, 0], [-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]]
 
 
+def test_zeta_matrix_is_the_bruhat_order_without_revalidation(monkeypatch):
+    import qkig.chi
+    import qkig.pairs
+    from qkig.pairs import bruhat_leq, require_valid
+    for n in range(2, 9):
+        basis, z, _ = ideal_to_schubert(n)
+        assert z == [[int(bruhat_leq(n, p, q)) for p in basis] for q in basis]
+    calls = []
+
+    def counting(n, pair):
+        calls.append(pair)
+        return require_valid(n, pair)
+
+    for module in (qkig.pairs, qkig.chi):
+        monkeypatch.setattr(module, "require_valid", counting)
+    basis, _, _ = ideal_to_schubert.__wrapped__(6)  # bypasses the cache
+    assert len(basis) == 60 and calls == []
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_inverse_is_unitriangular_integer(n):
     basis, z, m = ideal_to_schubert(n)

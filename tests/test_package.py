@@ -1,0 +1,87 @@
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qkig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the names the package exported when it imported every submodule eagerly
+EXPORTS = {
+    "pairs": [
+        "InvalidPairError", "basis_list", "bruhat_leq", "codim_schubert",
+        "delta", "dim_schubert", "dim_space", "divisor_pair", "dual_pair",
+        "fano_index", "is_valid_pair", "richardson_dim",
+        "richardson_nonempty", "seidel_pair", "unit_pair"],
+    "ring": [
+        "NormalizedTerm", "RingElement", "UnsupportedFamilyError",
+        "apply_word", "chevalley_q_part_geometric", "classical_chevalley",
+        "normalize_extended", "product_C1", "product_C2",
+        "quantum_chevalley", "richardson_special_expand", "seidel",
+        "sign_check", "special_product"],
+    "neighborhoods": [
+        "Classification", "Descriptor", "classify", "condition_C1",
+        "condition_C2", "condition_L1", "deg2_birational_case", "dim_moduli",
+        "gamma_broken", "gamma_pair", "gamma_point_pair", "q_support_product",
+        "seidel_neighborhood"],
+    "chi": [
+        "chi_chevalley", "chi_xuv", "ideal_to_schubert",
+        "reconstruct_classical_chevalley", "reconstruct_xuv"],
+    "oracle": [
+        "GeometryError", "Plane2", "SamplingError", "bruhat_oracle",
+        "chain2_through", "dim_intersect", "dim_sum", "gamma3_witness",
+        "gamma4_witness", "line_witness", "membership_suite",
+        "random_isotropic_plane", "random_point_in_cell",
+        "richardson_witness"],
+}
+
+
+def _loaded_after(statement):
+    """Modules a fresh interpreter (no site hooks) loads to run statement."""
+    code = ("import sys; before = set(sys.modules); " + statement + "; "
+            "import json; print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True)
+    return set(json.loads(out.stdout))
+
+
+def test_ring_and_oracle_load_only_what_they_use():
+    ring = _loaded_after("import qkig.ring")
+    assert "qkig.ring" in ring
+    assert not ring & {"qkig.oracle", "random", "dataclasses"}
+    oracle = _loaded_after("import qkig.oracle")
+    assert "qkig.oracle" in oracle and "qkig.ring" not in oracle
+    assert not _loaded_after("import qkig") & {
+        f"qkig.{m}" for m in EXPORTS}
+
+
+def test_exports_resolve_to_their_submodules():
+    names = [name for module in EXPORTS.values() for name in module]
+    assert sorted(qkig.__all__) == sorted(names)
+    listed = dir(qkig)
+    for module, exported in EXPORTS.items():
+        home = importlib.import_module(f"qkig.{module}")
+        for name in exported:
+            assert getattr(qkig, name) is getattr(home, name)
+            assert name in listed
+    assert qkig.__version__ == "0.1.0"
+    for module in ("oracle", "verify"):
+        assert getattr(qkig, module) is importlib.import_module(
+            f"qkig.{module}")
+
+
+def test_unknown_names_and_star_import():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qkig.no_such_name
+    namespace = {}
+    exec("from qkig import *", namespace)
+    assert set(qkig.__all__) <= set(namespace)
+    assert namespace["basis_list"] is qkig.pairs.basis_list
+    from qkig import verify
+    assert verify.run_suite

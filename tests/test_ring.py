@@ -320,6 +320,10 @@ def test_sign_rule_and_expansions_do_not_revalidate(monkeypatch):
         monkeypatch.setattr(module, "require_valid", counting)
     assert sign_check(prod, cu, cv)[0] and len(prod.sorted_terms()) > 1
     assert richardson_special_expand(6, 4) and calls == []
-    # what is left: the codimensions of the factors and the public products
+    # what is left: one RingElement.basis per v and the public products
     verify.run_signs(6)
-    assert len(calls) <= 630
+    assert len(calls) <= 310
+    # one RingElement.basis and one chevalley_q_part_geometric per v
+    calls.clear()
+    verify.run_chevalley(6)
+    assert len(calls) <= 280
