@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure (a failed check, or a suite
 that ran no checks), 2 invalid index pair or argument, 3 unsupported
-product family, 4 a geometry sampler ran out of retries.
+product family, 4 a geometry sampler ran out of retries, 141 stdout closed
+before the output was written (128 + SIGPIPE; nothing on stderr).
 JSON output is canonical (sorted keys, sorted terms) and byte-stable for
 deterministic commands.  The default seed for randomized suites can be
 set with the QKIG_SEED environment variable; an explicit --seed wins.
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 
-from . import neighborhoods as nb, oracle, ring, verify
+from . import neighborhoods as nb, ring, verify
 from .pairs import (
     InvalidPairError,
     basis_list,
@@ -30,6 +31,7 @@ EXIT_SUITE_FAILURE = 1
 EXIT_INVALID_PAIR = 2
 EXIT_UNSUPPORTED = 3
 EXIT_SAMPLING = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_pair(text):
@@ -159,8 +161,13 @@ def cmd_richardson_expand(args):
 
 
 def cmd_verify(args):
+    from .oracle import SamplingError  # no other command reaches the oracle
     seed = _default_seed(args)
-    reports = verify.run_suite(args.suite, args.n_max, args.trials, seed)
+    try:
+        reports = verify.run_suite(args.suite, args.n_max, args.trials, seed)
+    except SamplingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SAMPLING
     all_ok = True
     for rep in reports:
         n_fail = len(rep["failures"])
@@ -266,7 +273,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send the exit-time flush to devnull so that it
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InvalidPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PAIR
@@ -277,9 +293,6 @@ def main(argv=None):
         args.parser.print_usage(sys.stderr)
         print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_INVALID_PAIR
-    except oracle.SamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
 
 
 if __name__ == "__main__":

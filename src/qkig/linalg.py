@@ -1,27 +1,20 @@
-"""Exact linear algebra over the rationals for small dense matrices.
+"""Exact linear algebra on small dense integer matrices.
 
-Matrices are lists of row vectors whose entries are ints or Fractions.
-Every routine clears each row to a primitive integer row and runs one
-fraction-free (Bareiss) elimination kernel, so all results are integer
-rows.  An all-integer row is cleared by dividing it by its gcd; only a row
-that holds a Fraction goes through ``primitive_int_row``.  No routine
+Matrices are lists of integer rows.  Every routine divides each row by its
+gcd and runs one fraction-free (Bareiss) elimination kernel, so all results
+are integer rows.  A non-integer entry raises ``TypeError``.  No routine
 mutates its input.
 """
 
-from math import gcd, lcm
+from math import gcd
 
 
 def primitive_int_row(row):
-    """Scale a rational row to a primitive integer row (gcd 1, first nonzero > 0).
+    """Scale an integer row to a primitive one (gcd 1, first nonzero > 0).
 
     Returns a tuple of ints; the zero row maps to itself.
     """
-    try:
-        g = gcd(*row)
-    except TypeError:  # a Fraction entry: clear the denominators first
-        den = lcm(*(x.denominator for x in row))
-        row = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*row)
+    g = gcd(*row)
     if g == 0:
         return (0,) * len(row)
     if next(x for x in row if x) < 0:
@@ -30,7 +23,7 @@ def primitive_int_row(row):
 
 
 def _echelon(rows, reduce=False):
-    """Fraction-free echelon form of the integer-cleared nonzero rows.
+    """Echelon form of the nonzero rows, each divided by its gcd, fraction-free.
 
     Returns the echelon rows (lists of ints) and their pivot columns.  Every
     update divides exactly by the previous pivot (Bareiss), so entries stay
@@ -40,11 +33,7 @@ def _echelon(rows, reduce=False):
     """
     m = []
     for r in rows:
-        try:
-            g = gcd(*r)
-        except TypeError:  # a Fraction entry
-            r = primitive_int_row(r)
-            g = gcd(*r)
+        g = gcd(*r)
         if g:
             m.append([x // g for x in r] if g != 1 else list(r))
     pivots = []
@@ -88,19 +77,15 @@ def rref(rows):
     return tuple(primitive_int_row(r) for r in _echelon(rows, reduce=True)[0])
 
 
-def nullspace(rows, ncols=None):
-    """Basis of { x : M x = 0 }: one primitive integer vector per free column."""
-    rows = list(rows)
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    ncols = len(rows[0])
+def nullspace(rows):
+    """Basis of { x : M x = 0 } for a nonempty M: one primitive integer vector
+    per free column."""
+    width = len(rows[0])
     red, pivots = _echelon(rows, reduce=True)
     d = red[0][pivots[0]] if red else 1  # the common pivot entry
     basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
+    for free in (c for c in range(width) if c not in pivots):
+        vec = [0] * width
         vec[free] = d
         for r, pj in zip(red, pivots):
             vec[pj] = -r[free]
@@ -117,14 +102,13 @@ def stack(*row_groups):
 
 def intersect_rowspaces(rows_a, rows_b):
     """Basis of the intersection of the two row spaces, as an rref."""
-    a = [primitive_int_row(r) for r in rows_a]
-    b = [primitive_int_row(r) for r in rows_b]
+    a, b = list(rows_a), list(rows_b)
     if not a or not b:
         return []
     # coefficient vectors c with sum_i c_i * (a + b)_i = 0
-    transposed = [list(col) for col in zip(*(a + b))]
+    transposed = [list(col) for col in zip(*a, *b)]
     vecs = []
-    for c in nullspace(transposed, ncols=len(a) + len(b)):
+    for c in nullspace(transposed):
         # zip stops at len(a): sum_i c_i * a_i, column by column
         v = [sum(ci * x for ci, x in zip(c, col)) for col in zip(*a)]
         if any(v):

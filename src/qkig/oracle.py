@@ -498,10 +498,6 @@ def membership_suite(n, trials, seed):
         rng = random.Random(trial_seed)
         x, y = general_position_pair(n, rng=rng)
         span = row_basis(stack(_rows_of(x), _rows_of(y)))
-        # z lies on a conic through x and y when all three sit on the quadric
-        # of V_x + V_y; gram rank 4 means dim(V_x + V_y) = 4, so z lies inside
-        # iff ds = dim_sum(x, y, z) is still 4
-        conic_span = gram_rank(n, x, y) == 4
         checks += 1
         try:
             mid = chain2_through(x, y)
@@ -515,7 +511,8 @@ def membership_suite(n, trials, seed):
             t3 = _gamma3_in_span(n, span, z)
             t4 = _gamma4_in_span(n, span, z, rng)
             witnessed = {
-                "deg2": conic_span and z.is_isotropic() and ds == 4,
+                # general_position_pair gives gram rank 4 on V_x + V_y
+                "deg2": z.is_isotropic() and ds == 4,
                 "deg3": t3 is not None and verify_gamma3_witness(x, y, z, t3),
                 "deg4": t4 is not None and verify_gamma4_witness(x, y, z, t4),
             }

@@ -150,9 +150,7 @@ def richardson_dim(n, u, v):
     if not richardson_nonempty(n, u, v):
         raise InvalidPairError(
             f"empty Richardson variety for u={tuple(u)}, v={tuple(v)}, n={n}")
-    p1, p2 = u
-    q1, q2 = v
-    d = p1 + p2 + q1 + q2 - 4 * n - 1 - delta(n, p1, p2) - delta(n, q1, q2)
+    d = _dim_schubert(n, *u) + _dim_schubert(n, *v) - dim_space(n)
     assert d >= 0, (n, u, v)
     return d
 

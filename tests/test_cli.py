@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-from qkig.cli import main
+from qkig.cli import EXIT_BROKEN_PIPE, main
 from qkig.pairs import basis_list
 from qkig.ring import RingElement, apply_word
 
@@ -93,6 +97,23 @@ def test_sampling_failure_exits_4(capsys, monkeypatch):
                                   "--n-max", "2"])
     assert code == 4 and out == ""
     assert err.startswith("error: line witness failed")
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # a pipe whose read end is closed: the first write fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    for argv in (["basis", "--n", "3", "--json"],
+                 ["table", "--n", "12", "--op", "divisor"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qkig", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE == 141, argv
+        assert proc.stderr == b"", argv
 
 
 def test_product_special(capsys):

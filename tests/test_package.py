@@ -61,6 +61,13 @@ def test_ring_and_oracle_load_only_what_they_use():
         f"qkig.{m}" for m in EXPORTS}
 
 
+def test_only_verify_loads_the_oracle():
+    cli = _loaded_after("import qkig.cli")
+    assert "qkig.verify" in cli
+    assert not cli & {"qkig.oracle", "qkig.linalg", "qkig.chi"}
+    assert "qkig.oracle" not in _loaded_after("import qkig.verify")
+
+
 def test_exports_resolve_to_their_submodules():
     names = [name for module in EXPORTS.values() for name in module]
     assert sorted(qkig.__all__) == sorted(names)

@@ -143,6 +143,19 @@ def test_richardson_dim_consistency(n):
         assert richardson_dim(n, u, dual_pair(n, u)) == 0
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_richardson_dim_matches_index_formula(n):
+    # the closed formula in the indices, with one delta per pair
+    for (p1, p2), (q1, q2) in itertools.product(basis_list(n), repeat=2):
+        if richardson_nonempty(n, (p1, p2), (q1, q2)):
+            expected = (p1 + p2 + q1 + q2 - 4 * n - 1
+                        - delta(n, p1, p2) - delta(n, q1, q2))
+            assert richardson_dim(n, (p1, p2), (q1, q2)) == expected
+        else:
+            with pytest.raises(InvalidPairError):
+                richardson_dim(n, (p1, p2), (q1, q2))
+
+
 def test_basis_list():
     assert basis_list(2) == ((1, 2), (1, 3), (2, 4), (3, 4))
     assert len(basis_list(3)) == 12
