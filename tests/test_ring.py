@@ -284,6 +284,68 @@ def test_operators_are_termwise_linear(n, data):
         assert op(n, e) == expected
 
 
+def _summed(terms):
+    """Kernel terms summed by (shift, pair) key, zero sums dropped."""
+    out = {}
+    for key, c in (terms.items() if isinstance(terms, dict) else terms):
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _reference_chevalley(n, pair, quantum):
+    """The raw divisor cases rewritten by the public normalize_extended;
+    the classical rule keeps only the raw indices that are basis pairs."""
+    if quantum and n == 2 and pair == (2, 4):
+        # both sum-(2n + 2) special cases collide on (2, 4) at n = 2: the
+        # classical product plus q(O_{2n-2,2n} - 1)
+        return {(0, (1, 3)): 2, (0, (1, 2)): -1, (1, (3, 4)): -1,
+                (1, (2, 4)): 1}
+    from qkig.ring import _chevalley_raw_cases
+    out = {}
+    for coeff, (a, b) in _chevalley_raw_cases(n, *pair, quantum=quantum):
+        nt = normalize_extended(n, a, b)
+        assert not nt.antidiagonal, (n, pair, (a, b))
+        if nt.pair is not None and (quantum or nt.shift == 0):
+            out[(nt.shift, nt.pair)] = out.get((nt.shift, nt.pair), 0) + coeff
+    return {key: c for key, c in out.items() if c}
+
+
+def test_kernels_match_normalize_reference():
+    from qkig.ring import (
+        _chevalley_raw_cases,
+        _classical_chevalley_pair,
+        _quantum_chevalley_pair,
+        _seidel_pair,
+    )
+    traded = set()  # n at which a raw first index 0 trades for a power of q
+    for n in range(2, 17):
+        for pair in basis_list(n):
+            a, b = pair
+            assert _summed(_quantum_chevalley_pair(n, pair)) == \
+                _reference_chevalley(n, pair, quantum=True), (n, pair)
+            assert _summed(_classical_chevalley_pair(n, pair)) == \
+                _reference_chevalley(n, pair, quantum=False), (n, pair)
+            nt = normalize_extended(n, a - n, b - n)
+            assert _summed(_seidel_pair(n, pair)) == {(nt.shift, nt.pair): 1}
+            for _, (x, y) in _chevalley_raw_cases(n, a, b, quantum=True):
+                if x == 0 and normalize_extended(n, x, y).pair is not None:
+                    traded.add(n)
+    # the n = 2 collision at (2, 4) is one of the pairs compared above
+    assert traded == set(range(2, 17))
+
+
+def test_cancelled_terms_are_dropped():
+    e = quantum_chevalley(4, O(4, (3, 7)))
+    assert (e - e)._terms == {} and e.scale(0)._terms == {}
+    # O_{1,3} cancels between the images of O_{2,3} and O_{1,4}
+    x = E(3, {(0, (2, 3)): 1, (0, (1, 4)): -1})
+    got = quantum_chevalley(3, x)
+    assert 0 not in got._terms.values()
+    assert got == E(3, {(1, (4, 6)): -1, (1, (3, 6)): 1})
+    total = quantum_chevalley(3, O(3, (2, 3))) - quantum_chevalley(3, O(3, (1, 4)))
+    assert 0 not in total._terms.values() and total == got
+
+
 def test_apply_word_does_not_revalidate(monkeypatch):
     import qkig.ring
     from qkig.pairs import require_valid
