@@ -7,7 +7,10 @@ and the two special Richardson products available when the conditions (C1)
 or (C2) on the index pairs hold.  Products outside these families are
 rejected rather than approximated.
 
-Keys are validated once, by the public ``RingElement`` constructor.
+Keys are validated once, by the public ``RingElement`` constructor.  The
+per-pair operator kernels map a trusted pair to ((shift, pair), coeff)
+terms, rewriting only non-basis indices through ``_normalize``; the fresh
+dict ``_apply_termwise`` sums them into is taken over by ``_from_valid``.
 """
 
 from typing import NamedTuple
@@ -104,9 +107,12 @@ class RingElement:
 
     @classmethod
     def _from_valid(cls, n, terms):
-        """Element on keys already known to be valid; zero terms are dropped."""
+        """Element taking ownership of ``terms``, a fresh dict on keys known
+        to be valid; zero terms are dropped."""
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
         self = cls.__new__(cls)
-        self.n, self._terms = n, {key: c for key, c in terms.items() if c}
+        self.n, self._terms = n, terms
         return self
 
     @classmethod
@@ -254,45 +260,54 @@ def _basis_terms(n, terms):
     return out
 
 
-# The per-pair kernels take a valid pair and return {(shift, pair): coeff}.
+# Per-pair kernels: a valid pair in, ((shift, pair), coeff) terms out.
 def _classical_chevalley_pair(n, pair):
-    return _basis_terms(n, _chevalley_raw_cases(n, *pair, quantum=False))
+    return [((0, (a, b)), coeff)
+            for coeff, (a, b) in _chevalley_raw_cases(n, *pair, quantum=False)
+            if is_valid_pair(n, a, b)]
 
 
 def _quantum_chevalley_pair(n, pair):
     q1, q2 = pair
-    if n == 2 and q1 + q2 == 2 * n + 2:
+    top = 2 * n
+    if n == 2 and q1 + q2 == top + 2:
         # (2, 4) is the only such pair at n = 2 and both sum-(2n+2) special
         # cases collide on it; the six-term list would hit the degenerate
         # index (2, 2).  Its q-part is the two-to-one correction
         # q(O_{2n-2,2n} - 1) on top of the classical product.
-        return {**_classical_chevalley_pair(n, pair),
-                (1, unit_pair(n)): -1, (1, divisor_pair(n)): 1}
-    out = {}
+        return _classical_chevalley_pair(n, pair) + [
+            ((1, unit_pair(n)), -1), ((1, divisor_pair(n)), 1)]
+    out = []
     for coeff, (a, b) in _chevalley_raw_cases(n, q1, q2, quantum=True):
+        if 1 <= a < b <= top and a + b != top + 1:
+            out.append(((0, (a, b)), coeff))
+            continue
         assert a >= 0, (n, pair, (a, b))
         nt = _normalize(n, a, b)
         assert not nt.antidiagonal, (n, pair, (a, b))
         if nt.pair is not None:
-            key = (nt.shift, nt.pair)
-            out[key] = out.get(key, 0) + coeff
+            out.append(((nt.shift, nt.pair), coeff))
     return out
 
 
 def _seidel_pair(n, pair):
     a, b = pair
+    if a - n >= 1:
+        return (((0, (a - n, b - n)), 1),)
     nt = _normalize(n, a - n, b - n)
     assert nt.pair is not None and not nt.antidiagonal, (n, pair)
-    return {(nt.shift, nt.pair): 1}
+    return (((nt.shift, nt.pair), 1),)
 
 
 def _apply_termwise(pair_op, n, element):
     if element.n != n:
         raise ValueError(f"element has n={element.n}, expected {n}")
     out = {}
+    get = out.get
     for (d, pair), coeff in element._terms.items():
-        for (shift, image), c in pair_op(n, pair).items():
-            out[d + shift, image] = out.get((d + shift, image), 0) + coeff * c
+        for (shift, image), c in pair_op(n, pair):
+            key = (d + shift, image)
+            out[key] = get(key, 0) + coeff * c
     return RingElement._from_valid(n, out)
 
 

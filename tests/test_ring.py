@@ -287,7 +287,7 @@ def test_operators_are_termwise_linear(n, data):
 def _summed(terms):
     """Kernel terms summed by (shift, pair) key, zero sums dropped."""
     out = {}
-    for key, c in (terms.items() if isinstance(terms, dict) else terms):
+    for key, c in terms:
         out[key] = out.get(key, 0) + c
     return {key: c for key, c in out.items() if c}
 
