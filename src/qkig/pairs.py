@@ -75,7 +75,11 @@ def explain_invalid(n, a, b):
 
 def require_valid(n, pair):
     """Return the pair as a tuple, raising InvalidPairError if not a basis pair."""
-    a, b = pair
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise InvalidPairError(
+            f"expected a pair (a, b), got {pair!r}") from None
     if (type(n) is int and type(a) is int and type(b) is int and n >= 2
             and 1 <= a < b <= 2 * n and a + b != 2 * n + 1):
         return (a, b)

@@ -36,6 +36,13 @@ def test_bool_and_float_indices_are_rejected():
             require_valid(3, (a, b))
 
 
+def test_require_valid_rejects_non_pairs():
+    for bad in ((1, 2, 3), (1,), (), 5, None):
+        with pytest.raises(InvalidPairError,
+                           match=r"expected a pair \(a, b\), got "):
+            require_valid(3, bad)
+
+
 @settings(max_examples=500, derandomize=True)
 @given(st.integers(-1, 9) | st.booleans(), st.data())
 def test_require_valid_agrees_with_explain_invalid(n, data):
