@@ -441,6 +441,8 @@ def apply_word(n, word, start=None):
     Tokens: "divisor", "seidel", "q" or ("q", k), ("scalar", k).
     """
     out = RingElement.unit(n) if start is None else start
+    if out.n != n:
+        raise ValueError(f"start element has n={out.n}, expected {n}")
     for token in word:
         if token == "divisor":
             out = quantum_chevalley(n, out)

@@ -202,6 +202,13 @@ def test_apply_word():
         apply_word(n, ["frobenius"])
 
 
+def test_apply_word_rejects_a_start_of_another_n():
+    # checked before the first letter, whatever the word holds
+    for word in (["q"], [], ["divisor"], ["seidel"], ["frobenius"]):
+        with pytest.raises(ValueError, match="start element has n=4, expected 3"):
+            apply_word(3, word, E.unit(4))
+
+
 def test_element_validation_and_canonical_form():
     with pytest.raises(InvalidPairError):
         E(3, {(0, (2, 5)): 1})
@@ -232,6 +239,8 @@ def test_element_validation_and_canonical_form():
         e.scale(True)
     with pytest.raises(InvalidPairError):
         E.basis(3, (True, 5))
+    with pytest.raises(InvalidPairError, match="expected a pair"):
+        E(3, {(0, (1, 2, 3)): 1})
 
 
 def test_operators_do_not_mutate_inputs():
