@@ -191,7 +191,8 @@ def run_geometry(n_max, trials, seed):
 
 
 def run_bruhat(n_max, seed):
-    """Geometric fixed-point order vs the product order; Richardson witnesses."""
+    """Geometric fixed-point order and cell points vs the product order;
+    Richardson witnesses."""
     from . import oracle
     checks = 0
     failures = []
@@ -202,6 +203,17 @@ def run_bruhat(n_max, seed):
                 checks += 1
                 if oracle.bruhat_oracle(n, u, v) != bruhat_leq(n, u, v):
                     failures.append({"n": n, "u": u, "v": v, "what": "bruhat"})
+            # a point of the cell of u lies in X_v (X^v) exactly when u <= v
+            for orientation in ("standard", "opposite"):
+                point = oracle.random_point_in_cell(n, u, orientation, seed)
+                opposite = orientation == "opposite"
+                for v in basis:
+                    checks += 1
+                    if oracle.in_schubert(n, point, v, opposite) != \
+                            bruhat_leq(n, u, v):
+                        failures.append({"n": n, "u": u, "v": v,
+                                         "orientation": orientation,
+                                         "what": "cell"})
     for n in range(2, min(n_max, 4) + 1):
         basis = basis_list(n)
         for u in basis:

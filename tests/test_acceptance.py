@@ -155,8 +155,8 @@ def test_criterion_7_geometry_oracle():
     rep2 = verify.run_bruhat(5, SEED)
     assert rep2["failures"] == []
     _passed(7, f"witnesses match the span criteria ({rep['checks']} checks, "
-               f"{GEOMETRY_TRIALS} trials per n) and the fixed-point order "
-               f"matches the product order ({rep2['checks']} checks)")
+               f"{GEOMETRY_TRIALS} trials per n); the fixed-point order and the "
+               f"cell points match the product order ({rep2['checks']} checks)")
 
 
 def test_criterion_8_c1_c2_instances():

@@ -299,4 +299,4 @@ def test_verify_output_is_pinned(capsys):
                                 "--trials", "20", "--seed", "7"])
     digest = hashlib.sha256(repr((code, out)).encode()).hexdigest()
     assert digest == (
-        "654d9cb538ec97998aafe41a7add9793903a481509a5bb10d09708acb196f3d5")
+        "4038262e8ee51846b496ff156d8a8255039d87922be0aa6c91f0e0dc346fdac6")

@@ -176,6 +176,22 @@ def test_every_cell_is_sampleable(n):
             assert profile == [(k >= a) + (k >= b) for k in range(1, 2 * n + 1)]
 
 
+def test_bruhat_suite_checks_cell_points(monkeypatch):
+    from qkig import oracle, verify
+    rep = verify.run_bruhat(3, seed=5)
+    # per n: the fixed-point order, the cell points in both orientations,
+    # and the Richardson and line witnesses, each over all N^2 pairs
+    assert rep["failures"] == [] and rep["checks"] == 5 * (4 ** 2 + 12 ** 2)
+    # a sampler stuck on the point cell: its point lies in every X_v
+    real = oracle.random_point_in_cell
+    monkeypatch.setattr(oracle, "random_point_in_cell",
+                        lambda n, u, orientation, seed:
+                        real(n, (1, 2), orientation, seed))
+    bad = verify.run_bruhat(3, seed=5)["failures"]
+    assert bad and {f["what"] for f in bad} == {"cell"}
+    assert {f["orientation"] for f in bad} == {"standard", "opposite"}
+
+
 def test_chain2_through():
     x = coordinate_plane(3, 1, 2)
     y = coordinate_plane(3, 5, 6)
