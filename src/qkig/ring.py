@@ -107,8 +107,8 @@ class RingElement:
 
     @classmethod
     def _from_valid(cls, n, terms):
-        """Element taking ownership of ``terms``, a fresh dict on keys known
-        to be valid; zero terms are dropped."""
+        """Element that owns ``terms``: every caller passes a new dict, on
+        keys known to be valid.  Zero terms are dropped."""
         if 0 in terms.values():
             terms = {key: c for key, c in terms.items() if c}
         self = cls.__new__(cls)
@@ -262,9 +262,8 @@ def _basis_terms(n, terms):
 
 # Per-pair kernels: a valid pair in, ((shift, pair), coeff) terms out.
 def _classical_chevalley_pair(n, pair):
-    return [((0, (a, b)), coeff)
-            for coeff, (a, b) in _chevalley_raw_cases(n, *pair, quantum=False)
-            if is_valid_pair(n, a, b)]
+    return list(_basis_terms(
+        n, _chevalley_raw_cases(n, *pair, quantum=False)).items())
 
 
 def _quantum_chevalley_pair(n, pair):
