@@ -310,13 +310,13 @@ def _reference_chevalley(n, pair, quantum):
         return {(0, (1, 3)): 2, (0, (1, 2)): -1, (1, (3, 4)): -1,
                 (1, (2, 4)): 1}
     from qkig.ring import _chevalley_raw_cases
-    out = {}
+    terms = []
     for coeff, (a, b) in _chevalley_raw_cases(n, *pair, quantum=quantum):
         nt = normalize_extended(n, a, b)
         assert not nt.antidiagonal, (n, pair, (a, b))
         if nt.pair is not None and (quantum or nt.shift == 0):
-            out[(nt.shift, nt.pair)] = out.get((nt.shift, nt.pair), 0) + coeff
-    return {key: c for key, c in out.items() if c}
+            terms.append(((nt.shift, nt.pair), coeff))
+    return _summed(terms)
 
 
 def test_kernels_match_normalize_reference():
