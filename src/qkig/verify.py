@@ -22,14 +22,35 @@ def _report(name, params, checks, failures):
             "failures": failures}
 
 
+def _images(n):
+    """(v, O_v, D*O_v, S*O_v) for every basis pair v."""
+    for v in basis_list(n):
+        e = ring.RingElement.basis(n, v)
+        yield v, e, ring.quantum_chevalley(n, e), ring.seidel(n, e)
+
+
+def _products(n):
+    """(u, v, O_u * O_v) for every implemented product: the divisor and
+    Seidel products, then every pair meeting (C1) or (C2)."""
+    dv, sd = divisor_pair(n), seidel_pair(n)
+    for v, _, de, se in _images(n):
+        yield dv, v, de
+        yield sd, v, se
+    basis = basis_list(n)
+    for u in basis:
+        for v in basis:
+            if nb._c1(n, u, v):
+                yield u, v, ring.product_C1(n, u, v)
+            elif nb._c2(n, u, v):
+                yield u, v, ring.product_C2(n, u, v)
+
+
 def run_chevalley(n_max):
     """Quantum vs classical at q = 0, and the geometric q-part, exhaustively."""
     checks = 0
     failures = []
     for n in range(2, n_max + 1):
-        for v in basis_list(n):
-            e = ring.RingElement.basis(n, v)
-            quantum = ring.quantum_chevalley(n, e)
+        for v, e, quantum, _ in _images(n):
             checks += 2
             if quantum.at_q0() != ring.classical_chevalley(n, e):
                 failures.append({"n": n, "v": v, "what": "q0_reduction"})
@@ -47,14 +68,11 @@ def run_seidel(n_max):
         if ring.seidel(n, unit) != ring.RingElement.basis(n, seidel_pair(n)):
             failures.append({"n": n, "what": "unit_image"})
         checks += 1
-        for v in basis_list(n):
-            e = ring.RingElement.basis(n, v)
-            se = ring.seidel(n, e)
+        for v, e, de, se in _images(n):
             checks += 3
             if ring.seidel(n, se) != e.times_q(2):
                 failures.append({"n": n, "v": v, "what": "square"})
-            if ring.seidel(n, ring.quantum_chevalley(n, e)) != \
-                    ring.quantum_chevalley(n, se):
+            if ring.seidel(n, de) != ring.quantum_chevalley(n, se):
                 failures.append({"n": n, "v": v, "what": "commutation"})
             d_min, image = nb.seidel_neighborhood(n, v)
             if se != ring.RingElement.basis(n, image, d=d_min):
@@ -62,42 +80,18 @@ def run_seidel(n_max):
     return _report("seidel", {"n_max": n_max}, checks, failures)
 
 
-def _c1_c2_products(n):
-    """(kind, u, v, product) for every pair meeting (C1) or (C2)."""
-    basis = basis_list(n)
-    for u in basis:
-        for v in basis:
-            if nb._c1(n, u, v):
-                yield "C1", u, v, ring.product_C1(n, u, v)
-            if nb._c2(n, u, v):
-                yield "C2", u, v, ring.product_C2(n, u, v)
-
-
 def run_signs(n_max):
-    """Codimension-alternating signs on every implemented product family."""
+    """Codimension-alternating signs on every implemented product."""
     checks = 0
     failures = []
     for n in range(2, n_max + 1):
         top = dim_space(n)  # codimension = top - dimension, on basis pairs
-        c_div = top - _dim_schubert(n, *divisor_pair(n))
-        c_sei = top - _dim_schubert(n, *seidel_pair(n))
-        for v in basis_list(n):
-            cv = top - _dim_schubert(n, *v)
-            e = ring.RingElement.basis(n, v)
-            for cu, prod in ((c_div, ring.quantum_chevalley(n, e)),
-                             (c_sei, ring.seidel(n, e))):
-                ok, bad = ring.sign_check(prod, cu, cv)
-                checks += 1
-                if not ok:
-                    failures.append({"n": n, "v": v, "cu": cu,
-                                     "violations": bad})
-        for kind, u, v, prod in _c1_c2_products(n):
+        for u, v, prod in _products(n):
             ok, bad = ring.sign_check(prod, top - _dim_schubert(n, *u),
                                       top - _dim_schubert(n, *v))
             checks += 1
             if not ok:
-                failures.append({"n": n, "u": u, "v": v, "kind": kind,
-                                 "violations": bad})
+                failures.append({"n": n, "u": u, "v": v, "violations": bad})
     return _report("signs", {"n_max": n_max}, checks, failures)
 
 
@@ -111,28 +105,15 @@ def run_interval(n_max):
     failures = []
     for n in range(2, n_max + 1):
         basis = basis_list(n)
-        dv, sd = divisor_pair(n), seidel_pair(n)
-        for v in basis:
-            e = ring.RingElement.basis(n, v)
-            for u, prod in ((dv, ring.quantum_chevalley(n, e)),
-                            (sd, ring.seidel(n, e))):
-                sup = prod.q_support()
-                checks += 3
-                if not sup <= {0, 1, 2}:
-                    failures.append({"n": n, "u": u, "v": v, "what": "bound"})
-                if not _is_interval(sup):
-                    failures.append({"n": n, "u": u, "v": v, "what": "interval"})
-                if sup != nb._q_support(n, u, v):
-                    failures.append({"n": n, "u": u, "v": v,
-                                     "what": "support_agreement"})
-        for _, u, v, prod in _c1_c2_products(n):
+        for u, v, prod in _products(n):
             sup = prod.q_support()
-            checks += 2
-            if not (sup <= {0, 1, 2} and _is_interval(sup)):
-                failures.append({"n": n, "u": u, "v": v, "what": "bound"})
-            if sup != nb._q_support(n, u, v):
-                failures.append({"n": n, "u": u, "v": v,
-                                 "what": "support_agreement"})
+            checks += 3
+            for what, ok in (("bound", sup <= {0, 1, 2}),
+                             ("interval", _is_interval(sup)),
+                             ("support_agreement",
+                              sup == nb._q_support(n, u, v))):
+                if not ok:
+                    failures.append({"n": n, "u": u, "v": v, "what": what})
         # the prediction sweep over unordered pairs; each ordered pair still
         # counts its own interval and symmetry checks
         for i, u in enumerate(basis):

@@ -299,4 +299,4 @@ def test_verify_output_is_pinned(capsys):
                                 "--trials", "20", "--seed", "7"])
     digest = hashlib.sha256(repr((code, out)).encode()).hexdigest()
     assert digest == (
-        "4038262e8ee51846b496ff156d8a8255039d87922be0aa6c91f0e0dc346fdac6")
+        "ec2f40fa413985fcec8e314a7548cdf117723cc216113d3c3c7898dbdbe45912")
