@@ -14,7 +14,6 @@ and classical_chevalley.
 
 from functools import lru_cache
 
-from .linalg import invert_lower_unitriangular
 from .pairs import _check_n, basis_list, require_valid
 from .ring import RingElement
 
@@ -34,6 +33,24 @@ def ideal_to_schubert(n):
          for c, d in basis]
     m = invert_lower_unitriangular(z)
     return basis, z, m
+
+
+def invert_lower_unitriangular(z):
+    """Exact integer inverse of a lower unitriangular integer matrix."""
+    size = len(z)
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        assert z[i][i] == 1, "matrix must be unitriangular"
+        row = [0] * size
+        row[i] = 1
+        for j in range(i):
+            zij = z[i][j]
+            if zij:
+                mj = m[j]
+                for k in range(j + 1):
+                    row[k] -= zij * mj[k]
+        m[i] = row
+    return m
 
 
 def chi_xuv(n, p, r):

@@ -115,20 +115,3 @@ def intersect_rowspaces(rows_a, rows_b):
             vecs.append(v)
     return list(rref(vecs))
 
-
-def invert_lower_unitriangular(z):
-    """Exact integer inverse of a lower unitriangular integer matrix."""
-    size = len(z)
-    m = [[0] * size for _ in range(size)]
-    for i in range(size):
-        assert z[i][i] == 1, "matrix must be unitriangular"
-        row = [0] * size
-        row[i] = 1
-        for j in range(i):
-            zij = z[i][j]
-            if zij:
-                mj = m[j]
-                for k in range(j + 1):
-                    row[k] -= zij * mj[k]
-        m[i] = row
-    return m

@@ -14,6 +14,8 @@ are generically two-to-one, which in turn pins the q-support of the products.
 from typing import NamedTuple
 
 from .pairs import (
+    _c1,
+    _c2,
     _check_n,
     _dim_schubert,
     _richardson_nonempty,
@@ -106,19 +108,6 @@ def deg2_birational_case(n, u, v):
 
 # The cores below take basis pairs already validated by a public entry
 # point; delta(n, a, b) = 1 is written inline as a + b > 2n + 1.
-
-def _c1(n, u, v):
-    two_n = 2 * n
-    return u[0] + v[0] == two_n and u[1] == two_n and v[1] == two_n
-
-
-def _c2(n, u, v):
-    (p1, p2), (q1, q2) = u, v
-    two_n = 2 * n
-    return (p1 + q2 == two_n and p2 + q1 == two_n
-            and p2 - p1 == q2 - q1 and p2 - p1 >= 2
-            and (p1 + p2 > two_n + 1 or q1 + q2 > two_n + 1))
-
 
 def _l1(n, u, v):
     (p1, p2), (q1, q2) = u, v

@@ -149,6 +149,22 @@ def _richardson_nonempty(n, u, v):
     return p1 + q2 >= 2 * n + 1 and p2 + q1 >= 2 * n + 1
 
 
+def _c1(n, u, v):
+    """Condition (C1) for trusted basis pairs: p1 + q1 = 2n = p2 = q2."""
+    two_n = 2 * n
+    return u[0] + v[0] == two_n and u[1] == two_n and v[1] == two_n
+
+
+def _c2(n, u, v):
+    """Condition (C2) for trusted basis pairs: p1 + q2 = 2n = p2 + q1 with
+    equal index gaps >= 2 and max(dp, dq) = 1."""
+    (p1, p2), (q1, q2) = u, v
+    two_n = 2 * n
+    return (p1 + q2 == two_n and p2 + q1 == two_n
+            and p2 - p1 == q2 - q1 and p2 - p1 >= 2
+            and (p1 + p2 > two_n + 1 or q1 + q2 > two_n + 1))
+
+
 def richardson_dim(n, u, v):
     """Dimension of the Richardson variety X_u cap X^v."""
     if not richardson_nonempty(n, u, v):

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 from .pairs import (
     InvalidPairError,
+    _c1,
+    _c2,
     _check_n,
     _dim_schubert,
     dim_space,
@@ -26,7 +28,6 @@ from .pairs import (
     require_valid,
     unit_pair,
 )
-from .neighborhoods import _c1, _c2
 
 
 class UnsupportedFamilyError(ValueError):

@@ -7,6 +7,8 @@ line exposes them under ``verify``; the acceptance tests assert on them.
 
 from . import neighborhoods as nb, ring
 from .pairs import (
+    _c1,
+    _c2,
     _dim_schubert,
     basis_list,
     bruhat_leq,
@@ -39,9 +41,9 @@ def _products(n):
     basis = basis_list(n)
     for u in basis:
         for v in basis:
-            if nb._c1(n, u, v):
+            if _c1(n, u, v):
                 yield u, v, ring.product_C1(n, u, v)
-            elif nb._c2(n, u, v):
+            elif _c2(n, u, v):
                 yield u, v, ring.product_C2(n, u, v)
 
 

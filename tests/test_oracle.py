@@ -514,7 +514,7 @@ def test_linalg_rejects_non_integer_entries(bad):
 @given(st.data())
 def test_linalg_does_not_mutate_input(data):
     import copy
-    from qkig.linalg import invert_lower_unitriangular
+    from qkig.chi import invert_lower_unitriangular
     ncols = data.draw(st.integers(1, 5))
     matrices = st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
                         min_size=1, max_size=4)

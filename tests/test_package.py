@@ -54,7 +54,11 @@ def _loaded_after(statement):
 def test_ring_and_oracle_load_only_what_they_use():
     ring = _loaded_after("import qkig.ring")
     assert "qkig.ring" in ring
-    assert not ring & {"qkig.oracle", "random", "dataclasses"}
+    assert not ring & {"qkig.oracle", "qkig.neighborhoods", "qkig.linalg",
+                       "random", "dataclasses"}
+    chi = _loaded_after("import qkig.chi")
+    assert "qkig.chi" in chi
+    assert not chi & {"qkig.neighborhoods", "qkig.linalg"}
     oracle = _loaded_after("import qkig.oracle")
     assert "qkig.oracle" in oracle and "qkig.ring" not in oracle
     assert not _loaded_after("import qkig") & {
