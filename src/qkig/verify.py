@@ -101,19 +101,32 @@ def _is_interval(support):
     return bool(support) and max(support) - min(support) + 1 == len(support)
 
 
+def _euler(element):
+    """chi(element) as {q-power: coefficient sum}, zero sums dropped; chi is
+    the Z[q]-linear map with chi(O_w) = 1."""
+    sums = {}
+    for (d, _), c in element.sorted_terms():
+        sums[d] = sums.get(d, 0) + c
+    return {d: c for d, c in sums.items() if c}
+
+
 def run_interval(n_max):
-    """Degree bound, interval property and the predicted q-supports."""
+    """Degree bound, interval property, the predicted q-supports, and the
+    Euler-characteristic rule chi(O_u * O_v) = q^d with d the least power
+    of q predicted (Buch-Chung-Li-Mihalcea)."""
     checks = 0
     failures = []
     for n in range(2, n_max + 1):
         basis = basis_list(n)
         for u, v, prod in _products(n):
-            sup = prod.q_support()
-            checks += 3
+            sup, predicted = prod.q_support(), nb._q_support(n, u, v)
+            checks += 4
+            # an empty prediction (its assert stripped under -O) fails too
+            euler = bool(predicted) and _euler(prod) == {min(predicted): 1}
             for what, ok in (("bound", sup <= {0, 1, 2}),
                              ("interval", _is_interval(sup)),
-                             ("support_agreement",
-                              sup == nb._q_support(n, u, v))):
+                             ("support_agreement", sup == predicted),
+                             ("euler", euler)):
                 if not ok:
                     failures.append({"n": n, "u": u, "v": v, "what": what})
         # the prediction sweep over unordered pairs; each ordered pair still

@@ -299,4 +299,4 @@ def test_verify_output_is_pinned(capsys):
                                 "--trials", "20", "--seed", "7"])
     digest = hashlib.sha256(repr((code, out)).encode()).hexdigest()
     assert digest == (
-        "ec2f40fa413985fcec8e314a7548cdf117723cc216113d3c3c7898dbdbe45912")
+        "13c949729f8337296b079d70c73be0311529d3c60a7ad20231c51470d488a4ab")

@@ -398,3 +398,31 @@ def test_sign_rule_and_expansions_do_not_revalidate(monkeypatch):
     calls.clear()
     verify.run_chevalley(6)
     assert len(calls) <= 280
+
+
+def test_signs_and_interval_report_a_wrong_product(monkeypatch):
+    import qkig.neighborhoods
+    import qkig.ring
+    from qkig import verify
+    from qkig.neighborhoods import condition_C2
+
+    # negated, a (C2) product breaks the sign rule and has chi = -q^d
+    monkeypatch.setattr(qkig.ring, "product_C2",
+                        lambda n, u, v: -product_C2(n, u, v))
+    planted = {(n, u, v) for n in range(2, 5)
+               for u in basis_list(n) for v in basis_list(n)
+               if condition_C2(n, u, v)}
+    signs, interval = verify.run_signs(4), verify.run_interval(4)
+    assert len(planted) == 10  # 0, 2 and 8 pairs at n = 2, 3, 4
+    for report, key in ((signs, "violations"), (interval, "what")):
+        assert {(f["n"], f["u"], f["v"]) for f in report["failures"]} == \
+            planted
+        assert all(key in f for f in report["failures"])
+    assert {f["what"] for f in interval["failures"]} == {"euler"}
+    # an empty prediction, as _q_support returns with its assert stripped,
+    # is a failure rather than an error
+    monkeypatch.setattr(qkig.neighborhoods, "_q_support",
+                        lambda n, u, v: set())
+    failures = verify.run_interval(2)["failures"]
+    assert {"n": 2, "u": divisor_pair(2), "v": (1, 2), "what": "euler"} in \
+        failures
