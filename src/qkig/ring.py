@@ -95,7 +95,12 @@ class RingElement:
     def __init__(self, n, terms=None):
         _check_n(n)
         clean = {}
-        for (d, pair), coeff in (terms or {}).items():
+        for key, coeff in (terms or {}).items():
+            try:
+                d, pair = key
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"expected a (q-power, pair) key, got {key!r}") from None
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient must be an integer, got {coeff!r}")
             if not isinstance(d, int) or isinstance(d, bool) or d < 0:

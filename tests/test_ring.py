@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -220,6 +222,9 @@ def test_element_validation_and_canonical_form():
         E.basis(3, (2, 4), d=True)
     with pytest.raises(TypeError):
         E(3, {(0, (2, 4)): 1.5})
+    for key in ((0, 1, 2), 5):  # not a (q-power, pair) 2-tuple
+        with pytest.raises(ValueError, match=re.escape(f"key, got {key!r}")):
+            E(3, {key: 1})
     e = E(3, {(1, (4, 6)): 1, (0, (1, 5)): 2, (0, (2, 4)): 1, (0, (1, 4)): -2})
     assert [t for t, _ in e.sorted_terms()] == \
         [(0, (1, 4)), (0, (1, 5)), (0, (2, 4)), (1, (4, 6))]
