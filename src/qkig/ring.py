@@ -342,24 +342,11 @@ def richardson_special_expand(n, p):
         raise ValueError(f"p must lie in [1, 2n-1], got {p!r}")
     if p > n:
         p = 2 * n - p
-    terms = []
-    if p < n:
-        terms.append((1, (p, 2 * n - p)))
-        for k in range(1, p):
-            terms.append((2, (k, 2 * n - k)))
-        terms.append((-2, (p - 1, 2 * n - p)))
-        for k in range(1, p - 1):
-            terms.append((-3, (k, 2 * n - 1 - k)))
-        for k in range(1, p - 1):
-            terms.append((1, (k, 2 * n - 2 - k)))
-    else:
-        for k in range(1, n):
-            terms.append((2, (k, 2 * n - k)))
-        terms.append((-1, (n - 1, n)))
-        for k in range(1, n - 1):
-            terms.append((-3, (k, 2 * n - 1 - k)))
-        for k in range(1, n - 1):
-            terms.append((1, (k, 2 * n - 2 - k)))
+    # at p = n, (p, 2n - p) is not a basis pair and _basis_terms drops it
+    terms = [(1, (p, 2 * n - p)), (-1 if p == n else -2, (p - 1, 2 * n - p))]
+    terms += [(2, (k, 2 * n - k)) for k in range(1, p)]
+    for k in range(1, p - 1):
+        terms += [(-3, (k, 2 * n - 1 - k)), (1, (k, 2 * n - 2 - k))]
     return RingElement._from_valid(n, _basis_terms(n, terms))
 
 
