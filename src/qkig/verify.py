@@ -105,7 +105,7 @@ def _euler(element):
     """chi(element) as {q-power: coefficient sum}, zero sums dropped; chi is
     the Z[q]-linear map with chi(O_w) = 1."""
     sums = {}
-    for (d, _), c in element.sorted_terms():
+    for (d, _), c in element._terms.items():
         sums[d] = sums.get(d, 0) + c
     return {d: c for d, c in sums.items() if c}
 
