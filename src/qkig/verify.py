@@ -117,7 +117,6 @@ def run_interval(n_max):
     checks = 0
     failures = []
     for n in range(2, n_max + 1):
-        basis = basis_list(n)
         for u, v, prod in _products(n):
             sup, predicted = prod.q_support(), nb._q_support(n, u, v)
             checks += 4
@@ -131,6 +130,7 @@ def run_interval(n_max):
                     failures.append({"n": n, "u": u, "v": v, "what": what})
         # the prediction sweep over unordered pairs; each ordered pair still
         # counts its own interval and symmetry checks
+        basis = basis_list(n)
         for i, u in enumerate(basis):
             for v in basis[i:]:
                 sup_uv = nb._q_support(n, u, v)

@@ -130,8 +130,9 @@ def test_criterion_4_positivity_signs():
 def test_criterion_5_degree_bound_and_intervals():
     rep = verify.run_interval(N_MAX_RING)
     assert rep["failures"] == []
-    _passed(5, f"q-supports inside [0, 2], intervals, and predicted supports "
-               f"agree, n <= {N_MAX_RING} ({rep['checks']} checks)")
+    _passed(5, f"q-supports inside [0, 2], intervals, predicted supports "
+               f"agree and chi(O_u * O_v) = q^d, n <= {N_MAX_RING} "
+               f"({rep['checks']} checks)")
 
 
 def test_criterion_6_euler_characteristic_reconstruction():
