@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -6,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from qkig.cli import EXIT_BROKEN_PIPE, main
+from qkig.cli import EXIT_BROKEN_PIPE, build_parser, main
 from qkig.pairs import basis_list
 from qkig.ring import RingElement, apply_word
 
@@ -300,3 +301,201 @@ def test_verify_output_is_pinned(capsys):
     digest = hashlib.sha256(repr((code, out)).encode()).hexdigest()
     assert digest == (
         "13c949729f8337296b079d70c73be0311529d3c60a7ad20231c51470d488a4ab")
+
+
+def _run_any(capsys, argv):
+    # argparse's own errors leave through SystemExit
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_HELP = (["-h", "--help"], "help", False, "==SUPPRESS==", None, None,
+         "show this help message and exit", "_HelpAction")
+_N = (["--n"], "n", True, None, None, "int",
+      "ambient parameter n >= 2 for IG(2, 2n)", "_StoreAction")
+_JSON = (["--json"], "json", False, False, None, None, None,
+         "_StoreTrueAction")
+
+
+def _pair(dest):
+    return ([f"--{dest}"], dest, True, None, None, "_parse_pair", None,
+            "_StoreAction")
+
+
+_PARSER = [
+    ("basis", "list basis pairs with dim/codim/dual", "cmd_basis",
+     "usage: qkig basis [-h] --n N [--json]\n", [_HELP, _N, _JSON]),
+    ("mul-divisor", "product with the Schubert divisor class",
+     "cmd_mul_divisor",
+     "usage: qkig mul-divisor [-h] --n N --pair PAIR [--classical] [--json]\n",
+     [_HELP, _N, _pair("pair"),
+      (["--classical"], "classical", False, False, None, None,
+       "classical K-theory product (q = 0)", "_StoreTrueAction"),
+      _JSON]),
+    ("mul-seidel", "product with the index-shift class O_{n-1,n}",
+     "cmd_mul_seidel",
+     "usage: qkig mul-seidel [-h] --n N --pair PAIR [--json]\n",
+     [_HELP, _N, _pair("pair"), _JSON]),
+    ("product-special", "closed-form product when (C1) or (C2) holds",
+     "cmd_product_special",
+     "usage: qkig product-special [-h] --n N --u U --v V [--json]\n",
+     [_HELP, _N, _pair("u"), _pair("v"), _JSON]),
+    ("classify", "index predicates, q-support and moduli dimensions",
+     "cmd_classify",
+     "usage: qkig classify [-h] --n N --u U --v V [--json]\n",
+     [_HELP, _N, _pair("u"), _pair("v"), _JSON]),
+    ("gamma", "curve-neighborhood descriptor", "cmd_gamma",
+     "usage: qkig gamma [-h] --n N --u U --v V --deg DEG [--broken] "
+     "[--json]\n",
+     [_HELP, _N, _pair("u"), _pair("v"),
+      (["--deg"], "deg", True, None, None, "int", None, "_StoreAction"),
+      (["--broken"], "broken", False, False, None, None,
+       "broken chains with a degree-1 tail", "_StoreTrueAction"),
+      _JSON]),
+    ("richardson-expand", "basis expansion of the special Richardson class",
+     "cmd_richardson_expand",
+     "usage: qkig richardson-expand [-h] --n N --p P [--json]\n",
+     [_HELP, _N,
+      (["--p"], "p", True, None, None, "int", None, "_StoreAction"),
+      _JSON]),
+    ("verify", "run the verification suites", "cmd_verify",
+     "usage: qkig verify [-h] --suite\n"
+     "                   "
+     "{brion,bruhat,chevalley,geometry,interval,seidel,signs,all}\n"
+     "                   [--n-max N_MAX] [--trials TRIALS] [--seed SEED]\n",
+     [_HELP,
+      (["--suite"], "suite", True, None,
+       ["brion", "bruhat", "chevalley", "geometry", "interval", "seidel",
+        "signs", "all"], None, None, "_StoreAction"),
+      (["--n-max"], "n_max", False, 6, None, "int", None, "_StoreAction"),
+      (["--trials"], "trials", False, 100, None, "int", None,
+       "_StoreAction"),
+      (["--seed"], "seed", False, None, None, "int",
+       "default: QKIG_SEED environment variable, else 0", "_StoreAction")]),
+    ("table", "full operator table", "cmd_table",
+     "usage: qkig table [-h] --n N --op {divisor,seidel} "
+     "[--format {json,text}]\n",
+     [_HELP, _N,
+      (["--op"], "op", True, None, ["divisor", "seidel"], None, None,
+       "_StoreAction"),
+      (["--format"], "format", False, "text", ["json", "text"], None, None,
+       "_StoreAction")]),
+]
+
+
+def test_parser_options_are_pinned(monkeypatch):
+    # the usage lines wrap at the terminal width argparse reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    assert parser.format_usage() == (
+        "usage: qkig [-h]\n"
+        "            "
+        "{basis,mul-divisor,mul-seidel,product-special,classify,gamma,"
+        "richardson-expand,verify,table}\n"
+        "            ...\n")
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    got = []
+    for choice in sub._choices_actions:
+        p = sub.choices[choice.dest]
+        assert p.get_default("parser") is p
+        got.append((choice.dest, choice.help,
+                    p.get_default("fn").__name__, p.format_usage(),
+                    [(a.option_strings, a.dest, a.required, a.default,
+                      a.choices, getattr(a.type, "__name__", None), a.help,
+                      type(a).__name__) for a in p._actions]))
+    assert list(sub.choices) == [row[0] for row in _PARSER]
+    assert got == _PARSER
+
+
+def _surface_argvs():
+    """Argument vectors the golden digest leaves out: gamma, product-special,
+    richardson-expand, text output, and every kind of exit-2 error."""
+    def fmt(pair):
+        return f"{pair[0]},{pair[1]}"
+
+    for n in (2, 3):
+        for u in basis_list(n):
+            for v in basis_list(n):
+                for d in range(1, 5):
+                    for extra in ([], ["--json"], ["--broken"],
+                                  ["--broken", "--json"]):
+                        yield ["gamma", "--n", str(n), "--u", fmt(u),
+                               "--v", fmt(v), "--deg", str(d), *extra]
+    for n in (2, 3, 4):
+        for u in basis_list(n):
+            for v in basis_list(n):
+                uv = ["--n", str(n), "--u", fmt(u), "--v", fmt(v)]
+                yield ["product-special", *uv]
+                yield ["product-special", *uv, "--json"]
+                yield ["classify", *uv]
+    for n in range(2, 6):
+        for p in range(1, 2 * n):
+            yield ["richardson-expand", "--n", str(n), "--p", str(p)]
+            yield ["richardson-expand", "--n", str(n), "--p", str(p),
+                   "--json"]
+        for pair in basis_list(n):
+            yield ["mul-divisor", "--n", str(n), "--pair", fmt(pair)]
+            yield ["mul-divisor", "--n", str(n), "--pair", fmt(pair),
+                   "--classical"]
+            yield ["mul-seidel", "--n", str(n), "--pair", fmt(pair)]
+    # exit 2: n out of range, invalid pairs (reported before the degree),
+    # out-of-range arguments, and argparse's own errors (not a bad choice,
+    # whose message is worded differently across Python versions)
+    yield from (
+        ["basis", "--n", "1"],
+        ["mul-divisor", "--n", "1", "--pair", "1,2"],
+        ["mul-seidel", "--n", "1", "--pair", "1,2"],
+        ["product-special", "--n", "1", "--u", "1,2", "--v", "1,2"],
+        ["classify", "--n", "1", "--u", "1,2", "--v", "1,2"],
+        ["gamma", "--n", "1", "--u", "1,2", "--v", "1,2", "--deg", "1"],
+        ["richardson-expand", "--n", "1", "--p", "1"],
+        ["table", "--n", "1", "--op", "divisor"],
+        ["mul-divisor", "--n", "3", "--pair", "2,5", "--json"],
+        ["mul-seidel", "--n", "3", "--pair", "4,3"],
+        ["product-special", "--n", "3", "--u", "2,5", "--v", "7,8"],
+        ["product-special", "--n", "3", "--u", "1,2", "--v", "0,3"],
+        ["classify", "--n", "3", "--u", "1,2", "--v", "3,3"],
+        ["classify", "--n", "3", "--u", "9,10", "--v", "3,4", "--json"],
+        ["gamma", "--n", "3", "--u", "3,4", "--v", "1,2", "--deg", "0"],
+        ["gamma", "--n", "3", "--u", "1,2", "--v", "2,5", "--deg", "-1",
+         "--broken"],
+        ["gamma", "--n", "3", "--u", "1,3", "--v", "3,5", "--deg", "0"],
+        ["gamma", "--n", "3", "--u", "1,3", "--v", "3,5", "--deg", "-2",
+         "--broken", "--json"],
+        ["richardson-expand", "--n", "3", "--p", "0"],
+        ["richardson-expand", "--n", "3", "--p", "6", "--json"],
+        [],
+        ["basis"],
+        ["basis", "--n", "x"],
+        ["basis", "--n", "3", "--pair", "1,2"],
+        ["mul-divisor", "--n", "3", "--pair", "1"],
+        ["mul-seidel", "--n", "3", "--pair", "a,b"],
+        ["product-special", "--n", "3", "--u", "1,2"],
+        ["gamma", "--n", "3", "--u", "1,3", "--v", "3,5"],
+        ["verify", "--suite", "signs", "--n-max", "x"],
+    )
+
+
+def test_cli_outputs_beyond_golden_are_pinned(capsys, monkeypatch):
+    # exit code, stdout and stderr, usage lines included; one parser serves
+    # every call (building it is most of a call's time), and
+    # test_parser_options_are_pinned pins how it is built
+    from qkig import cli
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in _surface_argvs():
+        code, out, err = _run_any(capsys, argv)
+        codes.add(code)
+        digest.update(repr((argv, code, out, err)).encode())
+    assert codes == {0, 2, 3}
+    assert digest.hexdigest() == (
+        "0cbc90dc2e9fad9b31c7ef491cf3cfb7a66234351e1de3d0b6b56030350d0429")
