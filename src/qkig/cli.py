@@ -22,7 +22,6 @@ from .pairs import (
     dim_schubert,
     divisor_pair,
     dual_pair,
-    require_valid,
     seidel_pair,
 )
 
@@ -47,13 +46,6 @@ def _parse_pair(text):
 
 def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True))
-
-
-def _emit_element(element, as_json):
-    if as_json:
-        _emit_json(element.to_dict())
-    else:
-        print(element.to_text())
 
 
 def _default_seed(args):
@@ -85,29 +77,22 @@ def cmd_basis(args):
 
 
 def cmd_mul_divisor(args):
-    e = ring.RingElement.basis(args.n, require_valid(args.n, args.pair))
+    e = ring.RingElement.basis(args.n, args.pair)
     if args.classical:
-        out = ring.classical_chevalley(args.n, e)
-    else:
-        out = ring.quantum_chevalley(args.n, e)
-    _emit_element(out, args.json)
-    return EXIT_OK
+        return ring.classical_chevalley(args.n, e)
+    return ring.quantum_chevalley(args.n, e)
 
 
 def cmd_mul_seidel(args):
-    e = ring.RingElement.basis(args.n, require_valid(args.n, args.pair))
-    _emit_element(ring.seidel(args.n, e), args.json)
-    return EXIT_OK
+    return ring.seidel(args.n, ring.RingElement.basis(args.n, args.pair))
 
 
 def cmd_product_special(args):
-    out = ring.special_product(args.n, args.u, args.v)
-    _emit_element(out, args.json)
-    return EXIT_OK
+    return ring.special_product(args.n, args.u, args.v)
 
 
 def cmd_classify(args):
-    n, u, v = args.n, require_valid(args.n, args.u), require_valid(args.n, args.v)
+    n, u, v = args.n, args.u, args.v
     per_degree = {str(d): nb.classify(n, u, v, d).to_dict() for d in (1, 2, 3)}
     preds = per_degree["1"]  # the index predicates do not depend on the degree
     payload = {
@@ -137,27 +122,22 @@ def cmd_classify(args):
 
 
 def cmd_gamma(args):
-    n, u, v = args.n, require_valid(args.n, args.u), require_valid(args.n, args.v)
-    if args.broken:
-        desc = nb.gamma_broken(n, u, v, args.deg)
-    else:
-        desc = nb.gamma_pair(n, u, v, args.deg)
+    gamma = nb.gamma_broken if args.broken else nb.gamma_pair
+    desc = gamma(args.n, args.u, args.v, args.deg)
     if args.json:
         _emit_json(desc.to_dict())
+    elif desc.kind == "meets":
+        print(f"meets span(e_i : i in {list(desc.indices)}), dim {desc.dim}")
+    elif desc.kind == "dim_only":
+        note = f" ({desc.note})" if desc.note else ""
+        print(f"dimension {desc.dim}{note}")
     else:
-        if desc.kind == "meets":
-            print(f"meets span(e_i : i in {list(desc.indices)}), dim {desc.dim}")
-        elif desc.kind == "dim_only":
-            note = f" ({desc.note})" if desc.note else ""
-            print(f"dimension {desc.dim}{note}")
-        else:
-            print(desc.kind)
+        print(desc.kind)
     return EXIT_OK
 
 
 def cmd_richardson_expand(args):
-    _emit_element(ring.richardson_special_expand(args.n, args.p), args.json)
-    return EXIT_OK
+    return ring.richardson_special_expand(args.n, args.p)
 
 
 def cmd_verify(args):
@@ -205,67 +185,55 @@ def build_parser():
                     "K-theory of the symplectic Grassmannian of lines "
                     "IG(2, 2n).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    n = ("--n", {"type": int, "required": True,
+                 "help": "ambient parameter n >= 2 for IG(2, 2n)"})
+    as_json = ("--json", {"action": "store_true"})
+    pair = {"type": _parse_pair, "required": True}
+    u_v = [("--u", pair), ("--v", pair)]
+    # (name, handler, help, options); the handlers are looked up here, at
+    # call time, so a rebound module attribute is the one that runs
+    commands = [
+        ("basis", cmd_basis, "list basis pairs with dim/codim/dual",
+         [n, as_json]),
+        ("mul-divisor", cmd_mul_divisor,
+         "product with the Schubert divisor class",
+         [n, ("--pair", pair),
+          ("--classical", {"action": "store_true",
+                           "help": "classical K-theory product (q = 0)"}),
+          as_json]),
+        ("mul-seidel", cmd_mul_seidel,
+         "product with the index-shift class O_{n-1,n}",
+         [n, ("--pair", pair), as_json]),
+        ("product-special", cmd_product_special,
+         "closed-form product when (C1) or (C2) holds", [n, *u_v, as_json]),
+        ("classify", cmd_classify,
+         "index predicates, q-support and moduli dimensions",
+         [n, *u_v, as_json]),
+        ("gamma", cmd_gamma, "curve-neighborhood descriptor",
+         [n, *u_v, ("--deg", {"type": int, "required": True}),
+          ("--broken", {"action": "store_true",
+                        "help": "broken chains with a degree-1 tail"}),
+          as_json]),
+        ("richardson-expand", cmd_richardson_expand,
+         "basis expansion of the special Richardson class",
+         [n, ("--p", {"type": int, "required": True}), as_json]),
+        ("verify", cmd_verify, "run the verification suites",
+         [("--suite", {"required": True,
+                       "choices": sorted(verify.SUITES) + ["all"]}),
+          ("--n-max", {"type": int, "default": 6}),
+          ("--trials", {"type": int, "default": 100}),
+          ("--seed", {"type": int, "default": None,
+                      "help": "default: QKIG_SEED environment variable, "
+                              "else 0"})]),
+        ("table", cmd_table, "full operator table",
+         [n, ("--op", {"required": True, "choices": ["divisor", "seidel"]}),
+          ("--format", {"default": "text", "choices": ["json", "text"]})]),
+    ]
+    for name, fn, help_text, options in commands:
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn, parser=p)
-        p.add_argument("--n", type=int, required=True,
-                       help="ambient parameter n >= 2 for IG(2, 2n)")
-        return p
-
-    p = add("basis", cmd_basis, help="list basis pairs with dim/codim/dual")
-    p.add_argument("--json", action="store_true")
-
-    p = add("mul-divisor", cmd_mul_divisor,
-            help="product with the Schubert divisor class")
-    p.add_argument("--pair", type=_parse_pair, required=True)
-    p.add_argument("--classical", action="store_true",
-                   help="classical K-theory product (q = 0)")
-    p.add_argument("--json", action="store_true")
-
-    p = add("mul-seidel", cmd_mul_seidel,
-            help="product with the index-shift class O_{n-1,n}")
-    p.add_argument("--pair", type=_parse_pair, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("product-special", cmd_product_special,
-            help="closed-form product when (C1) or (C2) holds")
-    p.add_argument("--u", type=_parse_pair, required=True)
-    p.add_argument("--v", type=_parse_pair, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("classify", cmd_classify,
-            help="index predicates, q-support and moduli dimensions")
-    p.add_argument("--u", type=_parse_pair, required=True)
-    p.add_argument("--v", type=_parse_pair, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("gamma", cmd_gamma, help="curve-neighborhood descriptor")
-    p.add_argument("--u", type=_parse_pair, required=True)
-    p.add_argument("--v", type=_parse_pair, required=True)
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--broken", action="store_true",
-                   help="broken chains with a degree-1 tail")
-    p.add_argument("--json", action="store_true")
-
-    p = add("richardson-expand", cmd_richardson_expand,
-            help="basis expansion of the special Richardson class")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.set_defaults(fn=cmd_verify, parser=p)
-    p.add_argument("--suite", required=True,
-                   choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None,
-                   help="default: QKIG_SEED environment variable, else 0")
-
-    p = add("table", cmd_table, help="full operator table")
-    p.add_argument("--op", required=True, choices=["divisor", "seidel"])
-    p.add_argument("--format", default="text", choices=["json", "text"])
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -273,9 +241,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        result = args.fn(args)
+        # a handler returns its exit code, or the ring element to print
+        if isinstance(result, ring.RingElement):
+            if args.json:
+                _emit_json(result.to_dict())
+            else:
+                print(result.to_text())
+            result = EXIT_OK
         sys.stdout.flush()
-        return code
+        return result
     except BrokenPipeError:
         # the reader is gone; send the exit-time flush to devnull so that it
         # cannot raise again
