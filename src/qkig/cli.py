@@ -157,7 +157,7 @@ def cmd_verify(args):
         print(f"{rep['suite']}: {'ok' if ok else 'FAIL'} ({rep['checks']} "
               f"checks, {n_fail} failures, params={rep['params']})")
         if n_fail:
-            print(json.dumps(rep["failures"][:10], sort_keys=True, default=str))
+            print(json.dumps(rep["failures"], sort_keys=True, default=str))
     return EXIT_OK if all_ok else EXIT_SUITE_FAILURE
 
 

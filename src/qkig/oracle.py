@@ -143,6 +143,9 @@ def in_schubert(n, plane, pair, opposite=False):
     The opposite variety is the standard one in reversed coordinates.
     """
     a, b = require_valid(n, pair)
+    if plane.n != n:
+        raise GeometryError(f"plane lies in IG(2, 2n) for n = {plane.n}, "
+                            f"not n = {n}")
     rows = _reversed(plane.rows) if opposite else plane.rows
     return _dim_meet_prefix(rows, b) == 2 and _dim_meet_prefix(rows, a) >= 1
 

@@ -183,14 +183,17 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     from qkig import cli
 
     def fake_run_suite(name, n_max, trials, seed):
-        return [{"suite": name, "params": {}, "checks": 1,
-                 "failures": [{"what": "forged"}]}]
+        return [{"suite": name, "params": {}, "checks": 12,
+                 "failures": [{"what": f"forged {i}"} for i in range(1, 13)]}]
 
     monkeypatch.setattr(cli.verify, "run_suite", fake_run_suite)
     code, out, _ = run(capsys, ["verify", "--suite", "chevalley",
                                 "--n-max", "2"])
     assert code == 1
-    assert "FAIL" in out and "forged" in out
+    assert out.startswith("chevalley: FAIL (12 checks, 12 failures")
+    # every failure is printed, not just the first ten
+    failures = json.loads(out.splitlines()[1])
+    assert failures[10:] == [{"what": "forged 11"}, {"what": "forged 12"}]
 
 
 def test_verify_zero_checks_fails(capsys):

@@ -159,6 +159,11 @@ def test_random_point_in_cell():
     for pair in basis_list(3):
         if pair != (5, 6):
             assert not in_schubert(3, top, pair)
+    # a plane of another ambient space has no answer here
+    with pytest.raises(GeometryError, match="n = 4, not n = 3"):
+        in_schubert(3, coordinate_plane(4, 1, 2), (1, 2))
+    with pytest.raises(GeometryError, match="n = 2, not n = 3"):
+        in_schubert(3, coordinate_plane(2, 1, 2), (1, 2), opposite=True)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
