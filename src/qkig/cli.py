@@ -188,8 +188,9 @@ def build_parser():
     n = ("--n", {"type": int, "required": True,
                  "help": "ambient parameter n >= 2 for IG(2, 2n)"})
     as_json = ("--json", {"action": "store_true"})
-    pair = {"type": _parse_pair, "required": True}
-    u_v = [("--u", pair), ("--v", pair)]
+    pair_kw = {"type": _parse_pair, "required": True}
+    pair = ("--pair", pair_kw)
+    u_v = [("--u", pair_kw), ("--v", pair_kw)]
     # (name, handler, help, options); the handlers are looked up here, at
     # call time, so a rebound module attribute is the one that runs
     commands = [
@@ -197,13 +198,13 @@ def build_parser():
          [n, as_json]),
         ("mul-divisor", cmd_mul_divisor,
          "product with the Schubert divisor class",
-         [n, ("--pair", pair),
+         [n, pair,
           ("--classical", {"action": "store_true",
                            "help": "classical K-theory product (q = 0)"}),
           as_json]),
         ("mul-seidel", cmd_mul_seidel,
          "product with the index-shift class O_{n-1,n}",
-         [n, ("--pair", pair), as_json]),
+         [n, pair, as_json]),
         ("product-special", cmd_product_special,
          "closed-form product when (C1) or (C2) holds", [n, *u_v, as_json]),
         ("classify", cmd_classify,
