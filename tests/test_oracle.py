@@ -490,6 +490,45 @@ def test_gram_rank_ignores_dependent_rows(data):
     assert gram_rank(n, rows) == expected
 
 
+@settings(max_examples=200, derandomize=True)
+@given(st.data())
+def test_gram_rank_of_two_planes_matches_full_gram(data):
+    # four rows of every kind two planes can stack to, against the Fraction
+    # rank of the whole 4 x 4 Gram matrix
+    n = data.draw(st.integers(2, 5))
+    vec = st.lists(st.integers(-6, 6), min_size=2 * n, max_size=2 * n)
+    rows = data.draw(st.lists(vec, min_size=4, max_size=4))
+    kind = data.draw(st.sampled_from(
+        ["random", "isotropic", "coordinate", "zero", "dependent"]))
+    if kind == "isotropic":
+        seeds = st.integers(0, 10**6)
+        x = random_isotropic_plane(n, seed=data.draw(seeds))
+        y = data.draw(st.sampled_from(
+            [x, random_isotropic_plane(n, seed=data.draw(seeds))]))
+        rows = [list(r) for r in x.rows + y.rows]
+    elif kind == "coordinate":
+        pairs = st.sampled_from(basis_list(n))
+        rows = [list(r) for p in (data.draw(pairs), data.draw(pairs))
+                for r in coordinate_plane(n, *p).rows]
+    elif kind == "zero":
+        for i in data.draw(st.sets(st.integers(0, 3), min_size=1)):
+            rows[i] = [0] * (2 * n)
+    elif kind == "dependent":
+        k = data.draw(st.integers(0, 3))
+        others = rows[:k] + rows[k + 1:]
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=3,
+                                    max_size=3))
+        rows[k] = [sum(c * r[i] for c, r in zip(coeffs, others))
+                   for i in range(2 * n)]
+    gram = [[omega(n, u, v) for v in rows] for u in rows]
+    expected = len(_reference_rref(gram))
+    assert gram_rank(n, rows) == expected
+    assert gram_rank(n, rows[:2], rows[2:]) == expected
+    if kind in ("isotropic", "coordinate"):
+        x, y = Plane2(n, rows[:2]), Plane2(n, rows[2:])
+        assert gram_rank(n, x, y) == expected
+
+
 @settings(max_examples=100, derandomize=True)
 @given(st.data())
 def test_omega_matches_index_formula(data):
