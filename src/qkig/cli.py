@@ -17,11 +17,13 @@ import sys
 from . import neighborhoods as nb, ring, verify
 from .pairs import (
     InvalidPairError,
+    _richardson_nonempty,
     basis_list,
     codim_schubert,
     dim_schubert,
     divisor_pair,
     dual_pair,
+    require_valid,
     seidel_pair,
 )
 
@@ -92,16 +94,19 @@ def cmd_product_special(args):
 
 
 def cmd_classify(args):
-    n, u, v = args.n, args.u, args.v
-    per_degree = {str(d): nb.classify(n, u, v, d).to_dict() for d in (1, 2, 3)}
+    n = args.n
+    u, v = require_valid(n, args.u), require_valid(n, args.v)
+    per_degree = {str(d): nb._classify(n, u, v, d).to_dict() for d in (1, 2, 3)}
     preds = per_degree["1"]  # the index predicates do not depend on the degree
+    moduli = {str(d): nb._dim_moduli(n, u, v, d) for d in (0, 1, 2)}
     payload = {
         "n": n, "u": list(u), "v": list(v),
         "C1": preds["C1"], "C2": preds["C2"], "L1": preds["L1"],
         "deg2_birational_case": preds["deg2_birational_case"],
-        "q_support": sorted(nb.q_support_product(n, u, v)),
-        "richardson_dim": nb.richardson_dim_or_none(n, u, v),
-        "dim_moduli": {str(d): nb.dim_moduli(n, u, v, d) for d in (0, 1, 2)},
+        "q_support": sorted(nb._q_support(n, u, v)),
+        # in degree 0 the moduli space is the Richardson variety itself
+        "richardson_dim": moduli["0"] if _richardson_nonempty(n, u, v) else None,
+        "dim_moduli": moduli,
         "by_degree": per_degree,
     }
     if args.json:

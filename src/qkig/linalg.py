@@ -2,8 +2,8 @@
 
 Matrices are lists of integer rows.  Every routine divides each row by its
 gcd and runs one fraction-free (Bareiss) elimination kernel, so all results
-are integer rows.  A non-integer entry raises ``TypeError``.  No routine
-mutates its input.
+are integer rows.  A non-integer entry raises ``TypeError``, rows of unequal
+length ``ValueError``.  No routine mutates its input.
 """
 
 from math import gcd
@@ -31,6 +31,8 @@ def _echelon(rows, reduce=False):
     the entries above each pivot; every pivot entry then equals the last
     pivot, and the rows are the reduced echelon form times that pivot.
     """
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("matrix rows have different lengths")
     m = []
     for r in rows:
         g = gcd(*r)
@@ -40,16 +42,19 @@ def _echelon(rows, reduce=False):
     prev = 1
     for col in range(len(m[0]) if m else 0):
         rk = len(pivots)
-        piv = next((r for r in range(rk, len(m)) if m[r][col]), None)
-        if piv is None:
+        for piv in range(rk, len(m)):
+            if m[piv][col]:
+                break
+        else:
             continue
         m[rk], m[piv] = m[piv], m[rk]
         top = m[rk]
         p = top[col]
         for r in range(0 if reduce else rk + 1, len(m)):
-            if r != rk:
-                f = m[r][col]
+            if r != rk and (f := m[r][col]):
                 m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+            elif r != rk and p != prev:  # a zero entry is only rescaled
+                m[r] = [p * x // prev for x in m[r]]
         prev = p
         pivots.append(col)
         if len(pivots) == len(m):
@@ -106,7 +111,7 @@ def intersect_rowspaces(rows_a, rows_b):
     if not a or not b:
         return []
     # coefficient vectors c with sum_i c_i * (a + b)_i = 0
-    transposed = [list(col) for col in zip(*a, *b)]
+    transposed = [list(col) for col in zip(*a, *b, strict=True)]
     vecs = []
     for c in nullspace(transposed):
         # zip stops at len(a): sum_i c_i * a_i, column by column

@@ -164,6 +164,10 @@ def classify(n, u, v, d):
     u = require_valid(n, u)
     v = require_valid(n, v)
     _check_degree(d)
+    return _classify(n, u, v, d)
+
+
+def _classify(n, u, v, d):
     c1 = _c1(n, u, v)
     c2 = _c2(n, u, v)
     l1 = _l1(n, u, v)

@@ -3,8 +3,9 @@
 Points of IG(2, 2n) are rank-2 row spaces of 2 x 2n integer matrices,
 stored in a canonical primitive-integer form.  Every arithmetic step is
 exact integer arithmetic; ranks, meets and orthogonals come from the
-fraction-free elimination of ``linalg``.  Membership in an opposite
-Schubert variety is membership in the standard one in reversed
+fraction-free elimination of ``linalg``, except that ``gram_rank`` reads
+the symplectic rank of two planes off one Pfaffian.  Membership in an
+opposite Schubert variety is membership in the standard one in reversed
 coordinates.  The constructions mirror the curve-chain arguments behind
 the closed formulas: two-line chains through general points, degree-3 and
 degree-4 witnesses drawn inside V_x + V_y, Richardson and line points
@@ -96,9 +97,16 @@ def _rows_of(obj):
     return [tuple(r) for r in obj]
 
 
+def _stacked(objs):
+    """The rows of all arguments; planes among them must share one n."""
+    if len(ns := {o.n for o in objs if isinstance(o, Plane2)}) > 1:
+        raise GeometryError(f"planes of different n: {min(ns)} and {max(ns)}")
+    return stack(*[_rows_of(o) for o in objs])
+
+
 def dim_sum(*objs):
     """Dimension of the span of the row spaces of the arguments."""
-    return rank(stack(*[_rows_of(o) for o in objs]))
+    return rank(_stacked(objs))
 
 
 def dim_intersect(a, b):
@@ -111,11 +119,22 @@ def gram_rank(n, *objs):
 
     The Gram matrix is built on the stacked rows, dependent ones included:
     if A = C B with B a basis of the span and C of full column rank, then
-    A Omega A^T = C (B Omega B^T) C^T has the rank of B Omega B^T.
+    A Omega A^T = C (B Omega B^T) C^T has the rank of B Omega B^T.  Four
+    integer rows (two planes) give a 4 x 4 antisymmetric Gram matrix, of
+    even rank with det = Pf^2: rank 4 iff Pf = ab.cd - ac.bd + ad.bc is
+    nonzero, else 2 iff some entry is.  Other input goes to ``rank``.
     """
-    rows = stack(*[_rows_of(o) for o in objs])
-    g = [[omega(n, u, v) for v in rows] for u in rows]
-    return rank(g)
+    rows = _stacked(objs)
+    if any(len(r) != 2 * n for r in rows):
+        raise GeometryError(f"rows must have length 2n = {2 * n}")
+    if len(rows) == 4 and all(type(x) is int for r in rows for x in r):
+        a, b, c, d = rows
+        ab, ac, ad = omega(n, a, b), omega(n, a, c), omega(n, a, d)
+        bc, bd, cd = omega(n, b, c), omega(n, b, d), omega(n, c, d)
+        if ab * cd - ac * bd + ad * bc:
+            return 4
+        return 2 if ab or ac or ad or bc or bd or cd else 0
+    return rank([[omega(n, u, v) for v in rows] for u in rows])
 
 
 def _unit_rows(length, idxs):
@@ -250,7 +269,7 @@ def general_position_pair(n, seed=None, rng=None):
     for _ in range(_MAX_TRIES):
         x = random_isotropic_plane(n, rng=rng)
         y = random_isotropic_plane(n, rng=rng)
-        if dim_sum(x, y) == 4 and gram_rank(n, x, y) == 4:
+        if gram_rank(n, x, y) == 4:  # which also makes x + y a 4-space
             return x, y
     raise SamplingError(f"general-position pair failed for n={n}")
 
@@ -263,10 +282,10 @@ def chain2_through(x, y):
     span.  Requires V_x and V_y transverse with omega of rank 4 on the span.
     """
     n = x.n
-    if dim_intersect(x, y) != 0:
-        raise GeometryError("x and y must span a 4-space (got a common line)")
-    if gram_rank(n, x, y) != 4:
-        raise GeometryError("omega is degenerate on the span of x and y")
+    if gram_rank(n, x, y) != 4:  # a common line makes omega degenerate too
+        raise GeometryError("x and y must span a 4-space (got a common line)"
+                            if dim_intersect(x, y) else
+                            "omega is degenerate on the span of x and y")
     a = x.rows[0]
     r0, r1 = y.rows
     c0, c1 = omega(n, a, r0), omega(n, a, r1)
@@ -325,7 +344,7 @@ def gamma4_witness(x, y, z, seed=None, rng=None):
     """Witness that any z is swept in degree 4: a middle point t with a conic
     through x, y, t and a conic through t, z."""
     n = x.n
-    if dim_sum(x, y) != 4 or gram_rank(n, x, y) != 4:
+    if gram_rank(n, x, y) != 4:
         raise GeometryError("x and y must be in general position")
     span = row_basis(stack(_rows_of(x), _rows_of(y)))
     return _gamma4_in_span(n, span, z, _rng_of(seed, rng))
@@ -338,7 +357,7 @@ def _gamma4_in_span(n, span, z, rng):
         if not any(a):
             continue
         t = _partner_plane(n, a, _combination(span, rng), within=span)
-        if t is not None and dim_sum(t, z) == 4 and gram_rank(n, t, z) == 4:
+        if t is not None and gram_rank(n, t, z) == 4:
             return t
     return None
 
@@ -348,7 +367,6 @@ def verify_gamma4_witness(x, y, z, t):
     return (t.is_isotropic()
             and dim_sum(x, y, t) <= 4
             and gram_rank(n, x, y) == 4
-            and dim_sum(t, z) == 4
             and gram_rank(n, t, z) == 4)
 
 

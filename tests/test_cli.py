@@ -143,6 +143,29 @@ def test_classify(capsys):
     assert code == 0 and "C2=True" in out
 
 
+def test_classify_validates_once(monkeypatch, capsys):
+    # u and v are validated at the boundary; the payload comes from the cores
+    import qkig.cli
+    import qkig.neighborhoods
+    import qkig.pairs
+    real = qkig.pairs.require_valid
+    calls = []
+
+    def counting(n, pair):
+        calls.append(pair)
+        return real(n, pair)
+
+    for module in (qkig.cli, qkig.neighborhoods, qkig.pairs):
+        monkeypatch.setattr(module, "require_valid", counting, raising=False)
+    for argv in (["--n", "5", "--u", "1,3", "--v", "3,5", "--json"],
+                 ["--n", "3", "--u", "2,6", "--v", "1,4"],
+                 ["--n", "4", "--u", "3,8", "--v", "5,8", "--json"]):
+        calls.clear()
+        assert main(["classify", *argv]) == 0
+        assert 0 < len(calls) <= 2, calls
+    capsys.readouterr()
+
+
 def test_gamma(capsys):
     code, out, _ = run(capsys, ["gamma", "--n", "3", "--u", "1,3", "--v", "3,5",
                                 "--deg", "2", "--json"])

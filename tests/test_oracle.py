@@ -89,9 +89,15 @@ def test_linalg_basics():
 @given(st.data())
 def test_linalg_kernel_matches_fraction_reference(data):
     ncols = data.draw(st.integers(1, 6))
-    matrices = st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+    # entries in {-1, 0, 1} give unit pivots that repeat, and zeroed
+    # columns leave rows with a zero below or above a pivot
+    entries = data.draw(st.sampled_from([_ENTRIES, st.integers(-1, 1)]))
+    matrices = st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                         min_size=1, max_size=5)
     m, other = data.draw(matrices), data.draw(matrices)
+    for c in data.draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1)):
+        for r in m:
+            r[c] = 0
     ref = _reference_rref(m)
     assert rank(m) == len(ref)
     assert rref(m) == tuple(_primitive(r) for r in ref)
@@ -136,6 +142,13 @@ def test_dim_helpers():
     assert dim_intersect(x, coordinate_plane(3, 1, 6)) == 1
     meet = intersect_rowspaces(x.rows, coordinate_plane(3, 2, 3).rows)
     assert len(meet) == 1
+    # planes of two ambient spaces have no common span
+    other = coordinate_plane(4, 3, 4)
+    for helper in (dim_sum, dim_intersect, lambda a, b: gram_rank(3, a, b)):
+        with pytest.raises(GeometryError, match="n: 3 and 4"):
+            helper(x, other)
+        with pytest.raises(GeometryError, match="n: 3 and 4"):
+            helper(other, x)
 
 
 def test_random_isotropic_plane_seeded():
@@ -456,6 +469,13 @@ def test_gram_rank():
     assert gram_rank(3, x, y) == 4
     assert gram_rank(3, x) == 0  # isotropic plane
     assert gram_rank(3, x, coordinate_plane(3, 3, 4)) == 2
+    # every row must have length 2n, on the two-plane path and off it
+    with pytest.raises(GeometryError, match="2n = 6"):
+        gram_rank(3, coordinate_plane(4, 1, 2), coordinate_plane(4, 7, 8))
+    with pytest.raises(GeometryError, match="2n = 6"):
+        gram_rank(3, x.rows, [[0, 0, 1, 0, 0]])
+    with pytest.raises(GeometryError, match="2n = 6"):
+        gram_rank(3, x, [[0, 0, 1, 0, 0, 0, 0]], [[1] * 6])
 
 
 def test_seeded_membership_reports_are_pinned():
@@ -542,6 +562,14 @@ def test_omega_matches_index_formula(data):
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5])
 def test_linalg_rejects_non_integer_entries(bad):
+    # rows of unequal length are refused as well, not truncated
+    ragged = [[1, 0, 0], [0, 1]]
+    for routine in (rank, rref, row_basis, nullspace):
+        with pytest.raises(ValueError):
+            routine(ragged)
+    for a, b in ((ragged, [[1, 1, 1]]), ([[1, 0, 0]], [[0, 1]])):
+        with pytest.raises(ValueError):
+            intersect_rowspaces(a, b)
     m = [[1, bad], [0, 1]]
     for routine in (rank, rref, row_basis, nullspace):
         with pytest.raises(TypeError):
@@ -552,6 +580,8 @@ def test_linalg_rejects_non_integer_entries(bad):
         intersect_rowspaces([[1, 1]], m)
     with pytest.raises(TypeError):
         primitive_int_row([1, bad])
+    with pytest.raises(TypeError):  # four rows: the two-plane path
+        gram_rank(2, [[1, bad, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 @settings(max_examples=100, derandomize=True)
