@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qkig.pairs import (
     InvalidPairError,
@@ -209,6 +209,48 @@ def test_apply_word_rejects_a_start_of_another_n():
     for word in (["q"], [], ["divisor"], ["seidel"], ["frobenius"]):
         with pytest.raises(ValueError, match="start element has n=4, expected 3"):
             apply_word(3, word, E.unit(4))
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["divisor", "seidel", "q"]),
+    st.tuples(st.just("q"), st.integers(0, 3)),
+    st.tuples(st.just("scalar"), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def _start_and_word(draw):
+    n = draw(st.integers(2, 12))
+    keys = st.tuples(st.integers(0, 3), st.sampled_from(basis_list(n)))
+    coeffs = st.integers(-5, 5).filter(bool)
+    terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=8))
+    return n, terms, draw(st.lists(_TOKENS, max_size=40))
+
+
+def _fold(n, word, element):
+    """apply_word one letter at a time, through the public operators."""
+    for token in word:
+        if token == "divisor":
+            element = quantum_chevalley(n, element)
+        elif token == "seidel":
+            element = seidel(n, element)
+        elif token == "q":
+            element = element.times_q(1)
+        elif token[0] == "q":
+            element = element.times_q(token[1])
+        else:
+            element = element.scale(token[1])
+    return element
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_start_and_word())
+@example((2, {(0, (2, 4)): 1, (1, (1, 3)): -2},  # the n = 2 (2, 4) collision
+          ["divisor", "seidel", "divisor", ("scalar", 3), "divisor", "q"]))
+def test_apply_word_matches_operator_fold(case):
+    n, terms, word = case
+    start = E(n, terms)
+    assert apply_word(n, word, start) == _fold(n, word, start)
 
 
 def test_element_validation_and_canonical_form():
