@@ -9,8 +9,11 @@ rejected rather than approximated.
 
 Keys are validated once, by the public ``RingElement`` constructor.  The
 per-pair operator kernels map a trusted pair to ((shift, pair), coeff)
-terms, rewriting only non-basis indices through ``_normalize``; the fresh
-dict ``_apply_termwise`` sums them into is taken over by ``_from_valid``.
+terms, rewriting only non-basis indices through ``_normalize``.  A memo dict
+(one per call, or per operator across an ``apply_word``) holds each pair's
+image; ``_apply_termwise`` sums images into a fresh dict for ``_from_valid``.
+S^2 = q^2 makes Seidel injective on keys, so ``_seidel_shift`` only moves
+each term to its image key, and raises if two terms meet.
 """
 
 from typing import NamedTuple
@@ -304,31 +307,48 @@ def _seidel_pair(n, pair):
     return (((nt.shift, nt.pair), 1),)
 
 
-def _apply_termwise(pair_op, n, element):
+def _apply_termwise(pair_op, n, element, memo):
     if element.n != n:
         raise ValueError(f"element has n={element.n}, expected {n}")
     out = {}
     get = out.get
     for (d, pair), coeff in element._terms.items():
-        for (shift, image), c in pair_op(n, pair):
+        terms = memo.get(pair)
+        if terms is None:
+            terms = memo[pair] = pair_op(n, pair)
+        for (shift, image), c in terms:
             key = (d + shift, image)
             out[key] = get(key, 0) + coeff * c
     return RingElement._from_valid(n, out)
 
 
+def _seidel_shift(n, element, memo):
+    if element.n != n:
+        raise ValueError(f"element has n={element.n}, expected {n}")
+    out = {}
+    for (d, pair), coeff in element._terms.items():
+        key = memo.get(pair)
+        if key is None:  # the kernel's one term, with coefficient 1
+            key = memo[pair] = _seidel_pair(n, pair)[0][0]
+        out[(d + key[0], key[1])] = coeff
+    if len(out) != len(element._terms):
+        raise RuntimeError(f"seidel sent two terms of {element!r} to one key")
+    return RingElement._from_valid(n, out)
+
+
 def classical_chevalley(n, element):
     """Multiplication by the Schubert divisor class in K(X), termwise."""
-    return _apply_termwise(_classical_chevalley_pair, n, element)
+    return _apply_termwise(_classical_chevalley_pair, n, element, {})
 
 
 def quantum_chevalley(n, element):
     """Multiplication by the Schubert divisor class in QK(X), termwise."""
-    return _apply_termwise(_quantum_chevalley_pair, n, element)
+    return _apply_termwise(_quantum_chevalley_pair, n, element, {})
 
 
 def seidel(n, element):
     """Multiplication by O_{n-1,n}: the index shift (a, b) -> (a-n, b-n)."""
-    return _apply_termwise(_seidel_pair, n, element)
+    return _seidel_shift(n, element, {})
 
 
 def richardson_special_expand(n, p):
@@ -428,18 +448,20 @@ def sign_check(element, cu, cv):
 
 
 def apply_word(n, word, start=None):
-    """Fold a word of operators over an element (default: the unit).
+    """Fold a word of operators over an element (default: the unit), with
+    one memo of pair images per operator for the whole word.
 
     Tokens: "divisor", "seidel", "q" or ("q", k), ("scalar", k).
     """
     out = RingElement.unit(n) if start is None else start
     if out.n != n:
         raise ValueError(f"start element has n={out.n}, expected {n}")
+    divisor_images, seidel_images = {}, {}
     for token in word:
         if token == "divisor":
-            out = quantum_chevalley(n, out)
+            out = _apply_termwise(_quantum_chevalley_pair, n, out, divisor_images)
         elif token == "seidel":
-            out = seidel(n, out)
+            out = _seidel_shift(n, out, seidel_images)
         elif token == "q":
             out = out.times_q(1)
         elif isinstance(token, tuple) and len(token) == 2 and token[0] == "q":

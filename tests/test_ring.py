@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -418,6 +422,62 @@ def test_apply_word_does_not_revalidate(monkeypatch):
     out = apply_word(6, word, start)
     assert len(word) == 24 and len(out.sorted_terms()) > 1
     assert calls == []
+
+
+def test_apply_word_computes_each_image_once(monkeypatch):
+    import qkig.ring
+
+    calls = []
+
+    def counting(kernel):
+        def wrapper(n, pair):
+            calls.append((kernel.__name__, pair))
+            return kernel(n, pair)
+        return wrapper
+
+    for name in ("_quantum_chevalley_pair", "_seidel_pair"):
+        monkeypatch.setattr(qkig.ring, name, counting(getattr(qkig.ring, name)))
+    start = E(6, {(0, (2, 12)): 1, (1, (5, 9)): -2, (0, (1, 4)): 3})
+    word = ["divisor", "seidel", "divisor", ("q", 1)] * 6
+    out = apply_word(6, word, start)
+    assert len(word) == 24 and len(out.sorted_terms()) > 1
+    assert {name for name, _ in calls} == {"_quantum_chevalley_pair",
+                                           "_seidel_pair"}
+    assert len(calls) == len(set(calls))
+
+
+# sends (1, 3) where (2, 3) goes, so Seidel is no longer injective on keys
+_BROKEN_SEIDEL = """
+import qkig.ring as r
+kernel = r._seidel_pair
+r._seidel_pair = lambda n, pair: kernel(n, (2, 3) if pair == (1, 3) else pair)
+try:
+    r.seidel(3, r.RingElement(3, {(0, (1, 3)): 1, (0, (2, 3)): 1}))
+except RuntimeError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_seidel_is_a_bijection_on_keys(monkeypatch):
+    import qkig.ring
+
+    for n in range(2, 17):
+        every = {(d, v): 1 for d in (0, 1) for v in basis_list(n)}
+        image = seidel(n, E(n, every))
+        assert len(image.sorted_terms()) == len(every) == 2 * len(basis_list(n))
+        assert set(image._terms.values()) == {1}
+    kernel = qkig.ring._seidel_pair
+    monkeypatch.setattr(qkig.ring, "_seidel_pair", lambda n, pair: kernel(
+        n, (2, 3) if pair == (1, 3) else pair))
+    both = E(3, {(0, (1, 3)): 1, (0, (2, 3)): 1})
+    for op in (lambda e: seidel(3, e), lambda e: apply_word(3, ["seidel"], e)):
+        with pytest.raises(RuntimeError, match="seidel sent two terms of"):
+            op(both)
+    # the check is a raise, not an assert: it holds under python -O too
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_SEIDEL], env=env,
+                         check=True, capture_output=True, text=True, timeout=60)
+    assert out.stdout.startswith("False seidel sent two terms of"), out.stdout
 
 
 def test_sign_rule_and_expansions_do_not_revalidate(monkeypatch):
