@@ -464,7 +464,7 @@ def test_seidel_is_a_bijection_on_keys(monkeypatch):
     for n in range(2, 17):
         every = {(d, v): 1 for d in (0, 1) for v in basis_list(n)}
         image = seidel(n, E(n, every))
-        assert len(image.sorted_terms()) == len(every) == 2 * len(basis_list(n))
+        assert len(image.sorted_terms()) == 2 * len(basis_list(n))
         assert set(image._terms.values()) == {1}
     kernel = qkig.ring._seidel_pair
     monkeypatch.setattr(qkig.ring, "_seidel_pair", lambda n, pair: kernel(
