@@ -136,6 +136,52 @@ def test_plane_construction_and_isotropy():
     assert p == q
 
 
+def _fraction_rank(rows):
+    return len(_reference_rref(rows)) if rows else 0
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.data())
+def test_plane_queries_ignore_generators(data):
+    # a plane is its row space: the rows it is built from, and any G . rows
+    # with det G != 0, give the same canonical form and the same answers
+    n = data.draw(st.integers(2, 4))
+    vec = st.lists(st.integers(-4, 4), min_size=2 * n, max_size=2 * n)
+    pair = st.lists(vec, min_size=2, max_size=2).filter(
+        lambda rows: _fraction_rank(rows) == 2)
+    gens = data.draw(pair)
+    g = data.draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
+        lambda g: g[0] * g[3] != g[1] * g[2]))
+    mixed = [[g[0] * a + g[1] * b for a, b in zip(*gens)],
+             [g[2] * a + g[3] * b for a, b in zip(*gens)]]
+    p, q = Plane2(n, gens), Plane2(n, mixed)
+    assert p == q and hash(p) == hash(q)
+    canonical = tuple(_primitive(r) for r in _reference_rref(gens))
+    assert p.rows == q.rows == canonical
+    assert p.matrix() == q.matrix() and repr(p) == repr(q)
+    assert p.is_isotropic() == q.is_isotropic() == (omega(n, *gens) == 0)
+    # a third plane sharing a line with p, or not; and raw rows, zero or not
+    other = data.draw(pair)
+    if data.draw(st.booleans()):
+        other[0] = gens[data.draw(st.integers(0, 1))]
+    if _fraction_rank(other) < 2:
+        other[1] = data.draw(vec.filter(
+            lambda v: _fraction_rank([other[0], v]) == 2))
+    third = Plane2(n, other)
+    raw = data.draw(st.lists(vec, min_size=1, max_size=3))
+    for obj, rows in ((third, other), (raw, raw)):
+        both = gens + rows
+        span_dim = _fraction_rank(both)
+        gram = _fraction_rank([[omega(n, u, v) for v in both] for u in both])
+        for plane in (p, q):
+            assert dim_sum(plane, obj) == dim_sum(obj, plane) == span_dim
+            meet = 2 + _fraction_rank(rows) - span_dim
+            assert dim_intersect(plane, obj) == meet
+            assert gram_rank(n, plane, obj) == gram_rank(n, obj, plane) == gram
+    own = _fraction_rank([[omega(n, u, v) for v in gens] for u in gens])
+    assert gram_rank(n, p) == gram_rank(n, q) == own
+
+
 def test_dim_helpers():
     x = coordinate_plane(3, 1, 2)
     assert dim_sum(x, x) == 2
