@@ -1,7 +1,9 @@
 """Exact symplectic linear algebra: sampling, witnesses and ground truth.
 
-Points of IG(2, 2n) are rank-2 row spaces of 2 x 2n integer matrices,
-stored in a canonical primitive-integer form.  Every arithmetic step is
+Points of IG(2, 2n) are rank-2 row spaces of 2 x 2n integer matrices.  A
+``Plane2`` keeps the rows it was built from and computes its canonical
+primitive-integer form on first use; every query that does not depend on
+the basis reads the generators (see ``Plane2``).  Every arithmetic step is
 exact integer arithmetic; ranks, meets and orthogonals come from the
 fraction-free elimination of ``linalg``, except that ``gram_rank`` reads
 the symplectic rank of two planes off one Pfaffian.  Membership in an
@@ -20,6 +22,7 @@ Randomness is always seeded; suite reports embed the seed for exact replay.
 
 import random
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from .linalg import (
@@ -52,30 +55,51 @@ def omega(n, u, v):
             - sum(map(mul, u[2 * n - 1:n - 1:-1], v[:n])))
 
 
+def _independent(u, v):
+    """Whether two rows are independent: some 2 x 2 minor is nonzero."""
+    i = next((k for k, x in enumerate(u) if x), None)
+    return i is not None and any(u[i] * y - v[i] * x for x, y in zip(u, v))
+
+
 class Plane2:
     """An exact rank-2 row space in the 2n-dimensional ambient space.
 
-    Rows are canonicalized (reduced echelon, primitive integers), so two
-    planes are equal iff they have the same row space.  Isotropy is a
-    property to test, not an invariant of the type.
+    ``gens`` are two independent integer rows spanning it.  ``rows``, the
+    canonical basis (reduced echelon, primitive integers), is computed on
+    first use and kept; equality, hashing, ``repr``, ``matrix`` and the
+    constructions whose output depends on the basis read it, so two planes
+    are equal iff they have the same row space.  Isotropy, ``dim_sum``,
+    ``dim_intersect``, ``gram_rank``, ``in_schubert``, the cell profile
+    check and the membership trial's span dimension read ``gens``.
+    Isotropy is a property to test, not an invariant of the type.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "gens", "_rows")
 
     def __init__(self, n, rows):
         _check_n(n)
-        rows = [list(r) for r in rows]
-        if any(len(r) != 2 * n for r in rows):
+        gens = tuple(map(tuple, rows))
+        if any(len(r) != 2 * n for r in gens):
             raise GeometryError(f"rows must have length 2n = {2 * n}")
-        reduced = rref(rows)
-        if len(reduced) != 2:
-            raise GeometryError(
-                f"rows span a space of dimension {len(reduced)}, need 2")
+        self._rows = None
+        # a nonzero minor needs no elimination; gcd refuses what rref does
+        if not (len(gens) == 2 and gcd(*gens[0], *gens[1])
+                and _independent(*gens)):
+            self._rows = gens = rref(gens)
+            if len(gens) != 2:
+                raise GeometryError(
+                    f"rows span a space of dimension {len(gens)}, need 2")
         self.n = n
-        self.rows = reduced
+        self.gens = gens
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = rref(self.gens)
+        return self._rows
 
     def is_isotropic(self):
-        return omega(self.n, self.rows[0], self.rows[1]) == 0
+        return omega(self.n, *self.gens) == 0
 
     def matrix(self):
         return [list(r) for r in self.rows]
@@ -92,9 +116,7 @@ class Plane2:
 
 
 def _rows_of(obj):
-    if isinstance(obj, Plane2):
-        return list(obj.rows)
-    return [tuple(r) for r in obj]
+    return obj.gens if isinstance(obj, Plane2) else [tuple(r) for r in obj]
 
 
 def _stacked(objs):
@@ -110,7 +132,7 @@ def dim_sum(*objs):
 
 
 def dim_intersect(a, b):
-    da, db = (len(o.rows) if isinstance(o, Plane2) else rank(o) for o in (a, b))
+    da, db = (2 if isinstance(o, Plane2) else rank(o) for o in (a, b))
     return da + db - dim_sum(a, b)
 
 
@@ -124,10 +146,14 @@ def gram_rank(n, *objs):
     even rank with det = Pf^2: rank 4 iff Pf = ab.cd - ac.bd + ad.bc is
     nonzero, else 2 iff some entry is.  Other input goes to ``rank``.
     """
-    rows = _stacked(objs)
-    if any(len(r) != 2 * n for r in rows):
+    # two planes of this n: their constructors checked lengths and entries
+    planes = len(objs) == 2 and all(
+        isinstance(o, Plane2) and o.n == n for o in objs)
+    rows = [*objs[0].gens, *objs[1].gens] if planes else _stacked(objs)
+    if not planes and any(len(r) != 2 * n for r in rows):
         raise GeometryError(f"rows must have length 2n = {2 * n}")
-    if len(rows) == 4 and all(type(x) is int for r in rows for x in r):
+    if planes or len(rows) == 4 and all(
+            type(x) is int for r in rows for x in r):
         a, b, c, d = rows
         ab, ac, ad = omega(n, a, b), omega(n, a, c), omega(n, a, d)
         bc, bd, cd = omega(n, b, c), omega(n, b, d), omega(n, c, d)
@@ -165,7 +191,7 @@ def in_schubert(n, plane, pair, opposite=False):
     if plane.n != n:
         raise GeometryError(f"plane lies in IG(2, 2n) for n = {plane.n}, "
                             f"not n = {n}")
-    rows = _reversed(plane.rows) if opposite else plane.rows
+    rows = _reversed(plane.gens) if opposite else plane.gens
     return _dim_meet_prefix(rows, b) == 2 and _dim_meet_prefix(rows, a) >= 1
 
 
@@ -253,12 +279,12 @@ def random_point_in_cell(n, pair, orientation="standard", seed=None, rng=None):
         if plane is None:
             continue
         # also rejects a partner inside E_{b-1}: it meets E_{b-1} in dimension 2
-        profile_ok = all(_dim_meet_prefix(plane.rows, k) == (k >= a) + (k >= b)
+        profile_ok = all(_dim_meet_prefix(plane.gens, k) == (k >= a) + (k >= b)
                          for k in range(1, two_n + 1))
         if not profile_ok:
             continue
         if orientation == "opposite":
-            plane = Plane2(n, _reversed(plane.rows))
+            plane = Plane2(n, _reversed(plane.gens))
         return plane
     raise SamplingError(f"cell sampling failed for n={n}, pair={pair}")
 
@@ -287,7 +313,7 @@ def chain2_through(x, y):
                             if dim_intersect(x, y) else
                             "omega is degenerate on the span of x and y")
     a = x.rows[0]
-    r0, r1 = y.rows
+    r0, r1 = y.gens
     c0, c1 = omega(n, a, r0), omega(n, a, r1)
     # rank-4 pairing makes omega(a, .) nonzero on V_y; its kernel is a line
     b = [c1 * p - c0 * q for p, q in zip(r0, r1)]
@@ -329,7 +355,7 @@ def _gamma3_in_span(n, span, z):
     orth = rref([[sum(map(mul, c, col)) for col in zip(*span)]
                  for c in nullspace(pairing)])
     # the slice has dimension >= 2, so some row is independent of v
-    w = next(c for c in orth if rank([v, c]) == 2)
+    w = next(c for c in orth if _independent(v, c))
     return Plane2(n, [v, w])
 
 
@@ -346,7 +372,7 @@ def gamma4_witness(x, y, z, seed=None, rng=None):
     n = x.n
     if gram_rank(n, x, y) != 4:
         raise GeometryError("x and y must be in general position")
-    span = row_basis(stack(_rows_of(x), _rows_of(y)))
+    span = row_basis(stack(x.rows, y.rows))
     return _gamma4_in_span(n, span, z, _rng_of(seed, rng))
 
 
@@ -363,11 +389,10 @@ def _gamma4_in_span(n, span, z, rng):
 
 
 def verify_gamma4_witness(x, y, z, t):
-    n = x.n
     return (t.is_isotropic()
             and dim_sum(x, y, t) <= 4
-            and gram_rank(n, x, y) == 4
-            and gram_rank(n, t, z) == 4)
+            and gram_rank(x.n, x, y) == 4
+            and gram_rank(x.n, t, z) == 4)
 
 
 @lru_cache(maxsize=None)
@@ -490,6 +515,20 @@ def _sample_z(n, span, mode, rng):
     raise SamplingError(f"z sampling failed for mode {mode!r}, n={n}")
 
 
+def _span_dim_with(span, z):
+    """dim(span + V_z) for ``span`` an echelon basis, each row starting
+    right of the one before: z's generators, reduced fraction-free against
+    it, vanish in its pivot columns and add their own rank."""
+    u, v = z.gens
+    for s in span:
+        p = next(j for j, x in enumerate(s) if x)
+        if f := u[p]:
+            u = [s[p] * a - f * b for a, b in zip(u, s)]
+        if f := v[p]:
+            v = [s[p] * a - f * b for a, b in zip(v, s)]
+    return len(span) + _independent(u, v) + (any(u) or any(v))
+
+
 def membership_suite(n, trials, seed):
     """Compare verified witnesses with the point-pair criteria of
     ``neighborhoods.gamma_point_pair``.
@@ -518,7 +557,7 @@ def membership_suite(n, trials, seed):
         trial_seed = seed * 1_000_003 + trial
         rng = random.Random(trial_seed)
         x, y = general_position_pair(n, rng=rng)
-        span = row_basis(stack(_rows_of(x), _rows_of(y)))
+        span = row_basis(stack(x.rows, y.rows))
         checks += 1
         try:
             mid = chain2_through(x, y)
@@ -528,7 +567,7 @@ def membership_suite(n, trials, seed):
             fail(trial_seed, "two_line_chain", x, y, None, extra=str(exc))
         for mode in ("inside", "touch", "generic"):
             z = _sample_z(n, span, mode, rng)
-            ds = dim_sum(x, y, z)
+            ds = _span_dim_with(span, z)
             t3 = _gamma3_in_span(n, span, z)
             t4 = _gamma4_in_span(n, span, z, rng)
             witnessed = {

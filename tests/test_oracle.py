@@ -136,6 +136,31 @@ def test_plane_construction_and_isotropy():
     assert p == q
 
 
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5])
+def test_plane_constructor_errors(bad):
+    # a non-integer entry is refused whether or not the two rows are
+    # independent, and with three rows as well
+    for rows in ([[1, bad, 0, 0], [0, 0, 1, 0]],
+                 [[bad, 0, 0, 0], [1, 0, 0, 0]],
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, bad, 0]]):
+        with pytest.raises(TypeError):
+            Plane2(2, rows)
+    e = [[int(i == j) for j in range(4)] for i in range(4)]
+    for rows, k in (([[0] * 4, e[1]], 1), ([[0] * 4, [0] * 4], 0),
+                    ([e[0], [-3, 0, 0, 0]], 1), ([e[2]], 1), ([], 0),
+                    ([e[0], [2, 0, 0, 0], [0, 0, 0, 0]], 1)):
+        with pytest.raises(GeometryError,
+                           match=f"dimension {k}, need 2$"):
+            Plane2(2, rows)
+    three = Plane2(2, [e[0], [1, 1, 0, 0], e[1]])
+    assert three == Plane2(2, [e[1], [2, 1, 0, 0]])
+    assert three.rows == coordinate_plane(2, 1, 2).rows == ((1, 0, 0, 0),
+                                                            (0, 1, 0, 0))
+    for rows in ([e[0], [0, 1, 0]], [e[0] + [0], e[1] + [0]]):
+        with pytest.raises(GeometryError, match="length 2n = 4"):
+            Plane2(2, rows)
+
+
 def _fraction_rank(rows):
     return len(_reference_rref(rows)) if rows else 0
 
@@ -532,6 +557,44 @@ def test_seeded_membership_reports_are_pinned():
     canon = json.dumps(reports, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canon.encode()).hexdigest() == (
         "a49825aa20435ead1d76cd03edbd9c463816a668589198ef3559d793f500eb27")
+
+
+def test_membership_suite_reduces_only_canonical_forms(monkeypatch):
+    # planes are put in canonical form only where the basis matters: the
+    # trial span, the chain's first row, the degree-3 orthogonal slice
+    import qkig.oracle as oracle
+    calls = []
+
+    def counting_rref(rows):
+        calls.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(oracle, "rref", counting_rref)
+    reports = [membership_suite(n, 10, 3) for n in (2, 3, 4)]
+    assert all(not r["failures"] for r in reports)
+    assert len(calls) <= 150  # one per plane built, 410, before
+
+
+def test_span_dim_from_residues_matches_dim_sum():
+    from qkig.oracle import _sample_z, _span_dim_with
+    seen = set()
+    for n in (2, 3, 4):
+        for seed in range(31):
+            rng = random.Random(seed)
+            x, y = general_position_pair(n, rng=rng)
+            span = row_basis(stack(x.rows, y.rows))
+            zs = [_sample_z(n, span, mode, rng)
+                  for mode in ("inside", "touch", "generic")]
+            a, b = ([rng.randint(-3, 3) for _ in range(2 * n)] for _ in "ab")
+            a[0], b[0], b[-1] = 1, 0, 1  # independent by these entries
+            zs += [x, y, random_isotropic_plane(n, rng=rng),
+                   Plane2(n, [a, b]), Plane2(n, [x.gens[0], b]),
+                   coordinate_plane(n, 1, 2 * n)]
+            for z in zs:
+                ds = dim_sum(x, y, z)
+                assert _span_dim_with(span, z) == ds
+                seen.add(ds)
+    assert seen == {4, 5, 6}
 
 
 def _int_matrix(ncols, max_rows=5):
