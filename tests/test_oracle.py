@@ -343,6 +343,38 @@ def test_gamma3_witness_matches_reference():
                 assert _gamma3_in_span(n, span, z) == expected, (n, seed, mode)
 
 
+def test_gamma3_meet_edge_cases():
+    # every way V_z can meet V_x + V_y: inside it, in a line given by one
+    # generator or by a combination of both, or not at all
+    from qkig.oracle import _combination, _gamma3_in_span
+    seen = set()
+    for n in (2, 3, 4, 5):
+        for seed in range(10):
+            rng = random.Random(seed)
+            x, y = general_position_pair(n, rng=rng)
+            span = row_basis(stack(x.rows, y.rows))
+            s1, s2 = _combination(span, rng), _combination(span, rng)
+            # for n >= 3, o and b are (for these seeds) outside the span
+            o, b = ([rng.randint(-5, 5) for _ in range(2 * n)] for _ in "ob")
+            zs = [x, y, Plane2(n, [x.gens[0], b]),
+                  Plane2(n, [s1, o]), Plane2(n, [o, s1]),
+                  # residues c.o, 3c.o: nonzero and parallel
+                  Plane2(n, [[p + q for p, q in zip(o, s1)],
+                             [3 * p + q for p, q in zip(o, s2)]]),
+                  Plane2(n, [o, b])]
+            zs += [coordinate_plane(n, i, j)
+                   for i in range(1, 2 * n + 1)
+                   for j in range(i + 1, 2 * n + 1) if (i + j + seed) % 3 == 0]
+            for z in zs:
+                expected = _reference_gamma3(n, x, y, z)
+                assert gamma3_witness(x, y, z) == expected, (n, seed, z)
+                assert gamma3_witness(
+                    x, y, [list(r) for r in z.gens]) == expected, (n, seed, z)
+                assert _gamma3_in_span(n, span, z) == expected, (n, seed, z)
+                seen.add((dim_sum(x, y, z), expected is None))
+    assert seen == {(4, False), (5, False), (6, True)}
+
+
 def test_gamma4_witness_always_succeeds():
     rng = random.Random(2)
     for n in (2, 3):
