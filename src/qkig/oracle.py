@@ -5,8 +5,11 @@ Points of IG(2, 2n) are rank-2 row spaces of 2 x 2n integer matrices.  A
 primitive-integer form on first use; every query that does not depend on
 the basis reads the generators (see ``Plane2``).  Every arithmetic step is
 exact integer arithmetic; ranks, meets and orthogonals come from the
-fraction-free elimination of ``linalg``, except that ``gram_rank`` reads
-the symplectic rank of two planes off one Pfaffian.  Membership in an
+fraction-free elimination of ``linalg``, with three shortcuts: the rank of
+two rows is read off their 2 x 2 minors, ``gram_rank`` reads the
+symplectic rank of two planes off one Pfaffian, and a membership trial
+reads dim(V_x + V_y + V_z) and the degree-3 meet off z's generators
+reduced against the trial's echelon span.  Membership in an
 opposite Schubert variety is membership in the standard one in reversed
 coordinates.  The constructions mirror the curve-chain arguments behind
 the closed formulas: two-line chains through general points, degree-3 and
@@ -25,14 +28,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .linalg import (
-    intersect_rowspaces,
-    nullspace,
-    rank,
-    row_basis,
-    rref,
-    stack,
-)
+from .linalg import nullspace, primitive_int_row, rank, row_basis, rref, stack
 from .neighborhoods import gamma_point_pair
 from .pairs import _check_n, basis_list, require_valid
 
@@ -61,6 +57,11 @@ def _independent(u, v):
     return i is not None and any(u[i] * y - v[i] * x for x, y in zip(u, v))
 
 
+def _rank2(u, v):
+    """Rank of two rows, from minors: 2 if independent, else 1 if nonzero."""
+    return _independent(u, v) + (any(u) or any(v))
+
+
 class Plane2:
     """An exact rank-2 row space in the 2n-dimensional ambient space.
 
@@ -70,7 +71,7 @@ class Plane2:
     constructions whose output depends on the basis read it, so two planes
     are equal iff they have the same row space.  Isotropy, ``dim_sum``,
     ``dim_intersect``, ``gram_rank``, ``in_schubert``, the cell profile
-    check and the membership trial's span dimension read ``gens``.
+    check and the membership trial's span dimension and meet read ``gens``.
     Isotropy is a property to test, not an invariant of the type.
     """
 
@@ -174,7 +175,7 @@ def coordinate_plane(n, i, j):
 
 def _dim_meet_prefix(rows, k):
     """dim of the span of two independent rows met with <e_1, ..., e_k>."""
-    return 2 - rank([r[k:] for r in rows])
+    return 2 - _rank2(*(r[k:] for r in rows))
 
 
 def _reversed(rows):
@@ -339,24 +340,36 @@ def gamma3_witness(x, y, z):
     """
     if dim_sum(x, y) != 4:
         raise GeometryError("x and y must span a 4-space")
-    return _gamma3_in_span(x.n, stack(x.rows, y.rows), z)
+    # raw rows become a plane; a plane of another n is refused
+    return _gamma3_in_span(x.n, row_basis(stack(x.rows, y.rows)),
+                           Plane2(x.n, _rows_of(z)))
 
 
 def _gamma3_in_span(n, span, z):
-    """Degree-3 witness inside ``span``, a basis of V_x + V_y, or None when
-    V_z misses the span."""
-    z_rows = _rows_of(z)
-    meet = intersect_rowspaces(span, z_rows)
-    if not meet:
+    """Degree-3 witness inside ``span``, an echelon basis of V_x + V_y, or
+    None when V_z misses the span: v, the first rref row of the meet, paired
+    with a vector of the span omega-orthogonal to V_z.  With (r_u, c_u) and
+    (r_w, c_w) the residues of z's generators u, w, a.r_u + b.r_w = 0 gives
+    the meet vector a.c_u.u + b.c_w.w; if both vanish, V_z lies in the span
+    and its first rref row vanishes in its second pivot column q."""
+    (ru, cu), (rw, cw) = _residues(span, z)
+    if _rank2(ru, rw) == 2:
         return None
-    v = meet[0]
+    u, w = z.gens
+    k = next((j for j, x in enumerate(ru) if x), None)
+    if k is None and not any(rw):
+        p = next(j for j, (a, b) in enumerate(zip(u, w)) if a or b)
+        q = next(j for j in range(p + 1, 2 * n) if u[p] * w[j] - w[p] * u[j])
+        a, b = w[q], -u[q]
+    else:
+        a, b = (1, 0) if k is None else (rw[k] * cu, -ru[k] * cw)
+    v = primitive_int_row([a * s + b * t for s, t in zip(u, w)])
     # c . span lies in the omega-orthogonal of V_z iff c kills this pairing
-    pairing = [[omega(n, s, r) for s in span] for r in z_rows]
+    pairing = [[omega(n, s, r) for s in span] for r in z.gens]
     orth = rref([[sum(map(mul, c, col)) for col in zip(*span)]
                  for c in nullspace(pairing)])
     # the slice has dimension >= 2, so some row is independent of v
-    w = next(c for c in orth if _independent(v, c))
-    return Plane2(n, [v, w])
+    return Plane2(n, [v, next(c for c in orth if _independent(v, c))])
 
 
 def verify_gamma3_witness(x, y, z, t):
@@ -515,18 +528,30 @@ def _sample_z(n, span, mode, rng):
     raise SamplingError(f"z sampling failed for mode {mode!r}, n={n}")
 
 
-def _span_dim_with(span, z):
-    """dim(span + V_z) for ``span`` an echelon basis, each row starting
-    right of the one before: z's generators, reduced fraction-free against
-    it, vanish in its pivot columns and add their own rank."""
-    u, v = z.gens
+def _residues(span, z):
+    """(r, c) per generator g of z, reduced fraction-free against ``span``,
+    an echelon basis each of whose rows starts right of the one before:
+    r = c.g + (a vector of the span), c the product of the pivots used.  r
+    vanishes in the span's pivot columns: the two r have the rank of V_z
+    modulo the span."""
+    u, w = z.gens
+    cu = cw = 1
     for s in span:
         p = next(j for j, x in enumerate(s) if x)
         if f := u[p]:
             u = [s[p] * a - f * b for a, b in zip(u, s)]
-        if f := v[p]:
-            v = [s[p] * a - f * b for a, b in zip(v, s)]
-    return len(span) + _independent(u, v) + (any(u) or any(v))
+            cu *= s[p]
+        if f := w[p]:
+            w = [s[p] * a - f * b for a, b in zip(w, s)]
+            cw *= s[p]
+    return (u, cu), (w, cw)
+
+
+def _span_dim_with(span, z):
+    """dim(span + V_z) for ``span`` an echelon basis: z's residues add their
+    own rank."""
+    (ru, _), (rw, _) = _residues(span, z)
+    return len(span) + _rank2(ru, rw)
 
 
 def membership_suite(n, trials, seed):

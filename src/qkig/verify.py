@@ -33,18 +33,22 @@ def _images(n):
 
 def _products(n):
     """(u, v, O_u * O_v) for every implemented product: the divisor and
-    Seidel products, then every pair meeting (C1) or (C2)."""
+    Seidel products, then every pair meeting (C1) or (C2).  For u = (p1, p2),
+    (C1) forces v = (2n - p1, 2n) and (C2) v = (2n - p2, 2n - p1)."""
     dv, sd = divisor_pair(n), seidel_pair(n)
     for v, _, de, se in _images(n):
         yield dv, v, de
         yield sd, v, se
     basis = basis_list(n)
+    valid = set(basis)
+    two_n = 2 * n
     for u in basis:
-        for v in basis:
-            if _c1(n, u, v):
-                yield u, v, ring.product_C1(n, u, v)
-            elif _c2(n, u, v):
-                yield u, v, ring.product_C2(n, u, v)
+        p1, p2 = u
+        for v, cond, product in (
+                ((two_n - p1, two_n), _c1, ring.product_C1),
+                ((two_n - p2, two_n - p1), _c2, ring.product_C2)):
+            if v in valid and cond(n, u, v):
+                yield u, v, product(n, u, v)
 
 
 def run_chevalley(n_max):

@@ -607,6 +607,43 @@ def test_membership_suite_reduces_only_canonical_forms(monkeypatch):
     assert len(calls) <= 150  # one per plane built, 410, before
 
 
+def test_membership_suite_intersects_no_row_spaces(monkeypatch):
+    # the degree-3 meet is read off z's residues, with no elimination
+    import qkig.linalg
+    import qkig.oracle
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return intersect_rowspaces(a, b)
+
+    for module in (qkig.linalg, qkig.oracle):
+        monkeypatch.setattr(module, "intersect_rowspaces", counting,
+                            raising=False)
+    reports = [membership_suite(n, 10, 3) for n in (2, 3, 4)]
+    assert all(not r["failures"] for r in reports)
+    assert calls == []  # 90, before
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.data())
+def test_rank2_matches_rank(data):
+    from qkig.oracle import _rank2
+    width = data.draw(st.integers(1, 8))
+    row = st.lists(st.integers(-5, 5), min_size=width, max_size=width)
+    u = data.draw(st.one_of(row, st.just([0] * width)))
+    kind = data.draw(st.sampled_from(["free", "zero", "parallel"]))
+    if kind == "free":
+        v = data.draw(row)
+    elif kind == "zero":
+        v = [0] * width
+    else:
+        v = [data.draw(st.integers(-3, 3)) * x for x in u]
+    if data.draw(st.booleans()):
+        u, v = v, u
+    assert _rank2(u, v) == rank([u, v])
+
+
 def test_span_dim_from_residues_matches_dim_sum():
     from qkig.oracle import _sample_z, _span_dim_with
     seen = set()

@@ -507,6 +507,26 @@ def test_sign_rule_and_expansions_do_not_revalidate(monkeypatch):
     assert len(calls) <= 280
 
 
+def test_products_match_the_full_pair_scan(monkeypatch):
+    import qkig.ring
+    from qkig import verify
+    from qkig.pairs import _c1, _c2
+
+    # only the (u, v) sequence is compared: products become their family
+    monkeypatch.setattr(verify, "_images", lambda n: iter(()))
+    monkeypatch.setattr(qkig.ring, "product_C1", lambda n, u, v: "C1")
+    monkeypatch.setattr(qkig.ring, "product_C2", lambda n, u, v: "C2")
+    sizes = []
+    for n in range(2, 17):
+        basis = basis_list(n)
+        scan = [(u, v, "C1" if _c1(n, u, v) else "C2")
+                for u in basis for v in basis
+                if _c1(n, u, v) or _c2(n, u, v)]
+        assert list(verify._products(n)) == scan, n
+        sizes.append(len(scan))
+    assert sizes == [2 * n * n - 6 * n + 5 for n in range(2, 17)]
+
+
 def test_signs_and_interval_report_a_wrong_product(monkeypatch):
     import qkig.neighborhoods
     import qkig.ring
