@@ -358,7 +358,7 @@ def test_gamma3_meet_edge_cases():
             o, b = ([rng.randint(-5, 5) for _ in range(2 * n)] for _ in "ob")
             zs = [x, y, Plane2(n, [x.gens[0], b]),
                   Plane2(n, [s1, o]), Plane2(n, [o, s1]),
-                  # residues c.o, 3c.o: nonzero and parallel
+                  # both residues are multiples of o's: nonzero and parallel
                   Plane2(n, [[p + q for p, q in zip(o, s1)],
                              [3 * p + q for p, q in zip(o, s2)]]),
                   Plane2(n, [o, b])]
