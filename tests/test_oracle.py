@@ -464,6 +464,75 @@ def test_richardson_witness_examples():
     assert richardson_witness(2, (1, 2), (1, 2), seed=1) is None
 
 
+def _reference_richardson(n, u, v, seed):
+    """``richardson_witness`` with b built by hand: off-pivot coefficients
+    drawn in order, scaled by a's pairing with e_piv, the first support
+    vector a pairs with, and e_piv's entry solved for omega(a, b) = 0."""
+    from qkig.oracle import (
+        _COORD_BOUND, _MAX_TRIES, SamplingError, _random_vector)
+    rng = random.Random(seed)
+    (p1, p2), (q1, q2) = u, v
+    two_n = 2 * n
+    lo1, lo2 = max(1, two_n + 1 - q2), max(1, two_n + 1 - q1)
+    if lo1 > p1 or lo2 > p2:
+        return None
+    support1 = list(range(lo1, p1 + 1))
+    support2 = list(range(lo2, p2 + 1))
+    if len(support2) == 1:
+        support1 = [i for i in support1 if i != two_n + 1 - p2]
+        if not support1:
+            raise SamplingError("no support")
+    units2 = [[int(j == k - 1) for j in range(two_n)] for k in support2]
+    for _ in range(_MAX_TRIES):
+        a = _random_vector(rng, two_n, support=support1)
+        pairing = [omega(n, a, e) for e in units2]
+        if all(c == 0 for c in pairing):
+            b = _random_vector(rng, two_n, support=support2)
+        else:
+            piv = next(i for i, c in enumerate(pairing) if c != 0)
+            b = [0] * two_n
+            acc = 0
+            for i, k in enumerate(support2):
+                if i == piv:
+                    continue
+                coef = rng.randint(-_COORD_BOUND, _COORD_BOUND)
+                b[k - 1] = coef * pairing[piv]
+                acc += coef * pairing[i]
+            b[support2[piv] - 1] = -acc
+        assert omega(n, a, b) == 0
+        if rank([a, b]) == 2:
+            plane = Plane2(n, [a, b])
+            if in_schubert(n, plane, u) and in_schubert(
+                    n, plane, v, opposite=True):
+                return plane
+    raise SamplingError("no witness")
+
+
+def test_richardson_witness_draws_are_unchanged():
+    for n in (2, 3, 4):
+        for u in basis_list(n):
+            for v in basis_list(n):
+                for seed in range(10):
+                    assert _rows(richardson_witness(n, u, v, seed=seed)) == \
+                        _rows(_reference_richardson(n, u, v, seed)), \
+                        (n, u, v, seed)
+
+
+def test_witness_preconditions():
+    x, y = coordinate_plane(3, 1, 2), coordinate_plane(3, 5, 6)
+    z = coordinate_plane(3, 1, 3)
+    with pytest.raises(GeometryError, match="must span a 4-space"):
+        gamma3_witness(x, x, z)
+    with pytest.raises(GeometryError, match="planes of different n: 3 and 4"):
+        gamma3_witness(x, coordinate_plane(4, 7, 8), z)
+    with pytest.raises(GeometryError, match=r"rows must have length 2n = 6"):
+        gamma3_witness(x, y, coordinate_plane(4, 1, 3))
+    with pytest.raises(GeometryError, match="general position"):
+        gamma4_witness(x, x, z)
+    with pytest.raises(GeometryError, match=r"\(got a common line\)"):
+        chain2_through(x, x)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_line_witness_matches_degree1_nonemptiness(n):
     from qkig.oracle import line_witness
