@@ -106,7 +106,8 @@ def stack(*row_groups):
 
 
 def intersect_rowspaces(rows_a, rows_b):
-    """Basis of the intersection of the two row spaces, as an rref."""
+    """Basis of the intersection of the two row spaces, as an rref.  No library
+    code calls it; it is the tests' reference meet, and perfbench traces it."""
     a, b = list(rows_a), list(rows_b)
     if not a or not b:
         return []

@@ -8,8 +8,8 @@ exact integer arithmetic; ranks, meets and orthogonals come from the
 fraction-free elimination of ``linalg``, with three shortcuts: the rank of
 two rows is read off their 2 x 2 minors, ``gram_rank`` reads the
 symplectic rank of two planes off one Pfaffian, and a membership trial
-reads dim(V_x + V_y + V_z) and the degree-3 meet off z's generators
-reduced against the trial's echelon span.  Membership in an
+reduces z's generators against its echelon span once and reads both
+dim(V_x + V_y + V_z) and the degree-3 meet off the residues.  Membership in an
 opposite Schubert variety is membership in the standard one in reversed
 coordinates.  The constructions mirror the curve-chain arguments behind
 the closed formulas: two-line chains through general points, degree-3 and
@@ -71,8 +71,8 @@ class Plane2:
     constructions whose output depends on the basis read it, so two planes
     are equal iff they have the same row space.  Isotropy, ``dim_sum``,
     ``dim_intersect``, ``gram_rank``, ``in_schubert``, the cell profile
-    check and the membership trial's span dimension and meet read ``gens``.
-    Isotropy is a property to test, not an invariant of the type.
+    check and a membership trial's residues read ``gens``.  Isotropy is a
+    property to test, not an invariant of the type.
     """
 
     __slots__ = ("n", "gens", "_rows")
@@ -239,10 +239,9 @@ def _partner_plane(n, a, candidate, within=None):
                 break
         else:
             return None  # a pairs to zero with the whole span; candidate unusable
-    try:
-        plane = Plane2(n, [a, b])
-    except GeometryError:  # b is zero or parallel to a
+    if not _independent(a, b):  # b is zero or parallel to a
         return None
+    plane = Plane2(n, [a, b])
     return plane if plane.is_isotropic() else None
 
 
@@ -338,21 +337,24 @@ def gamma3_witness(x, y, z):
     span a line while x, y, t sit on a common conic), or None when the span
     of the three planes is too big for one to exist.
     """
-    if dim_sum(x, y) != 4:
+    span = row_basis(_stacked((x, y)))
+    if len(span) != 4:
         raise GeometryError("x and y must span a 4-space")
     # raw rows become a plane; a plane of another n is refused
-    return _gamma3_in_span(x.n, row_basis(stack(x.rows, y.rows)),
-                           Plane2(x.n, _rows_of(z)))
+    z = Plane2(x.n, _rows_of(z))
+    return _gamma3_in_span(x.n, span, z, _residues(span, z))
 
 
-def _gamma3_in_span(n, span, z):
+def _gamma3_in_span(n, span, z, residues):
     """Degree-3 witness inside ``span``, an echelon basis of V_x + V_y, or
     None when V_z misses the span: v, the first rref row of the meet, paired
     with a vector of the span omega-orthogonal to V_z.  With (r_u, c_u) and
-    (r_w, c_w) the residues of z's generators u, w, a.r_u + b.r_w = 0 gives
-    the meet vector a.c_u.u + b.c_w.w; if both vanish, V_z lies in the span
-    and its first rref row vanishes in its second pivot column q."""
-    (ru, cu), (rw, cw) = _residues(span, z)
+    (r_w, c_w) the ``residues`` of z's generators u, w against ``span``,
+    a.r_u + b.r_w = 0 gives the meet vector a.c_u.u + b.c_w.w; if both
+    vanish, V_z lies in the span and its first rref row vanishes in its
+    second pivot column q.  v is primitive and the slice an rref, so
+    neither depends on the basis of ``span``."""
+    (ru, cu), (rw, cw) = residues
     if _rank2(ru, rw) == 2:
         return None
     u, w = z.gens
@@ -450,23 +452,16 @@ def richardson_witness(n, u, v, seed=None, rng=None):
     units2 = _unit_rows(two_n, (k - 1 for k in support2))
     for _ in range(_MAX_TRIES):
         a = _random_vector(rng, two_n, support=support1)
-        pairing = [omega(n, a, e) for e in units2]
-        if all(c == 0 for c in pairing):
+        piv = next((i for i, e in enumerate(units2) if omega(n, a, e)), None)
+        if piv is None:
             b = _random_vector(rng, two_n, support=support2)
         else:
-            piv = next(i for i, c in enumerate(pairing) if c != 0)
-            # scaled by pairing[piv], so omega(a, b) = 0 in integers
+            # e_piv's entry stays 0; _partner_plane solves for it
             b = [0] * two_n
-            acc = 0
             for i, k in enumerate(support2):
-                if i == piv:
-                    continue
-                coef = rng.randint(-_COORD_BOUND, _COORD_BOUND)
-                b[k - 1] = coef * pairing[piv]
-                acc += coef * pairing[i]
-            b[support2[piv] - 1] = -acc
-        # b already pairs to zero with a, so it is its own partner
-        plane = _partner_plane(n, a, b)
+                if i != piv:
+                    b[k - 1] = rng.randint(-_COORD_BOUND, _COORD_BOUND)
+        plane = _partner_plane(n, a, b, within=units2)
         if (plane is not None
                 and in_schubert(n, plane, u)
                 and in_schubert(n, plane, v, opposite=True)):
@@ -547,13 +542,6 @@ def _residues(span, z):
     return (u, cu), (w, cw)
 
 
-def _span_dim_with(span, z):
-    """dim(span + V_z) for ``span`` an echelon basis: z's residues add their
-    own rank."""
-    (ru, _), (rw, _) = _residues(span, z)
-    return len(span) + _rank2(ru, rw)
-
-
 def membership_suite(n, trials, seed):
     """Compare verified witnesses with the point-pair criteria of
     ``neighborhoods.gamma_point_pair``.
@@ -592,8 +580,9 @@ def membership_suite(n, trials, seed):
             fail(trial_seed, "two_line_chain", x, y, None, extra=str(exc))
         for mode in ("inside", "touch", "generic"):
             z = _sample_z(n, span, mode, rng)
-            ds = _span_dim_with(span, z)
-            t3 = _gamma3_in_span(n, span, z)
+            residues = (ru, _), (rw, _) = _residues(span, z)
+            ds = len(span) + _rank2(ru, rw)
+            t3 = _gamma3_in_span(n, span, z, residues)
             t4 = _gamma4_in_span(n, span, z, rng)
             witnessed = {
                 # general_position_pair gives gram rank 4 on V_x + V_y

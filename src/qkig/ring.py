@@ -8,12 +8,12 @@ or (C2) on the index pairs hold.  Products outside these families are
 rejected rather than approximated.
 
 Keys are validated once, by the public ``RingElement`` constructor.  The
-per-pair operator kernels map a trusted pair to ((shift, pair), coeff)
-terms, rewriting only non-basis indices through ``_normalize``.  A memo dict
-(one per call, or per operator across an ``apply_word``) holds each pair's
-image; ``_apply_termwise`` sums images into a fresh dict for ``_from_valid``.
-S^2 = q^2 makes Seidel injective on keys, so ``_seidel_shift`` only moves
-each term to its image key, and raises if two terms meet.
+kernels map a trusted pair to ((shift, pair), coeff) terms, Seidel's to its
+image key (shift, pair), rewriting only non-basis indices via ``_normalize``.
+A memo dict (one per call, or per operator across an ``apply_word``) holds
+each pair's image; ``_apply_termwise`` sums images into a fresh dict for
+``_from_valid``.  S^2 = q^2 makes Seidel injective on keys, so
+``_seidel_shift`` moves each term to its image key, and raises if two meet.
 """
 
 from typing import NamedTuple
@@ -301,10 +301,10 @@ def _quantum_chevalley_pair(n, pair):
 def _seidel_pair(n, pair):
     a, b = pair
     if a - n >= 1:
-        return (((0, (a - n, b - n)), 1),)
+        return 0, (a - n, b - n)
     nt = _normalize(n, a - n, b - n)
     assert nt.pair is not None and not nt.antidiagonal, (n, pair)
-    return (((nt.shift, nt.pair), 1),)
+    return nt.shift, nt.pair
 
 
 def _apply_termwise(pair_op, n, element, memo):
@@ -328,8 +328,8 @@ def _seidel_shift(n, element, memo):
     out = {}
     for (d, pair), coeff in element._terms.items():
         key = memo.get(pair)
-        if key is None:  # the kernel's one term, with coefficient 1
-            key = memo[pair] = _seidel_pair(n, pair)[0][0]
+        if key is None:
+            key = memo[pair] = _seidel_pair(n, pair)
         out[(d + key[0], key[1])] = coeff
     if len(out) != len(element._terms):
         raise RuntimeError(f"seidel sent two terms of {element!r} to one key")

@@ -330,7 +330,7 @@ def _reference_gamma3(n, x, y, z):
 
 
 def test_gamma3_witness_matches_reference():
-    from qkig.oracle import _gamma3_in_span, _sample_z
+    from qkig.oracle import _gamma3_in_span, _residues, _sample_z
     for n in (2, 3, 4, 5):
         for seed in range(20):
             rng = random.Random(seed)
@@ -340,13 +340,14 @@ def test_gamma3_witness_matches_reference():
                 z = _sample_z(n, span, mode, rng)
                 expected = _reference_gamma3(n, x, y, z)
                 assert gamma3_witness(x, y, z) == expected, (n, seed, mode)
-                assert _gamma3_in_span(n, span, z) == expected, (n, seed, mode)
+                assert _gamma3_in_span(n, span, z, _residues(span, z)) == \
+                    expected, (n, seed, mode)
 
 
 def test_gamma3_meet_edge_cases():
     # every way V_z can meet V_x + V_y: inside it, in a line given by one
     # generator or by a combination of both, or not at all
-    from qkig.oracle import _combination, _gamma3_in_span
+    from qkig.oracle import _combination, _gamma3_in_span, _residues
     seen = set()
     for n in (2, 3, 4, 5):
         for seed in range(10):
@@ -370,7 +371,8 @@ def test_gamma3_meet_edge_cases():
                 assert gamma3_witness(x, y, z) == expected, (n, seed, z)
                 assert gamma3_witness(
                     x, y, [list(r) for r in z.gens]) == expected, (n, seed, z)
-                assert _gamma3_in_span(n, span, z) == expected, (n, seed, z)
+                assert _gamma3_in_span(n, span, z, _residues(span, z)) == \
+                    expected, (n, seed, z)
                 seen.add((dim_sum(x, y, z), expected is None))
     assert seen == {(4, False), (5, False), (6, True)}
 
@@ -428,7 +430,8 @@ def test_membership_suite_records_planted_failures(monkeypatch):
     # a non-isotropic plane passed off as every degree-3 and degree-4 witness
     from qkig import oracle
     bad = Plane2(3, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]])
-    monkeypatch.setattr(oracle, "_gamma3_in_span", lambda n, span, z: bad)
+    monkeypatch.setattr(oracle, "_gamma3_in_span",
+                        lambda n, span, z, residues: bad)
     monkeypatch.setattr(oracle, "_gamma4_in_span", lambda n, span, z, rng: bad)
     rep = membership_suite(3, 2, seed=5)
     s0, s1 = 5 * 1_000_003, 5 * 1_000_003 + 1
@@ -694,6 +697,22 @@ def test_membership_suite_intersects_no_row_spaces(monkeypatch):
     assert calls == []  # 90, before
 
 
+def test_membership_suite_reduces_each_z_once(monkeypatch):
+    # one reduction of z against the span gives its dimension and the meet
+    import qkig.oracle as oracle
+    calls = []
+    residues = oracle._residues
+
+    def counting(span, z):
+        calls.append(z)
+        return residues(span, z)
+
+    monkeypatch.setattr(oracle, "_residues", counting)
+    reports = [membership_suite(n, 10, 3) for n in (2, 3, 4)]
+    assert all(not r["failures"] for r in reports)
+    assert len(calls) == 90  # three z per trial; 180, before
+
+
 @settings(max_examples=300, derandomize=True)
 @given(st.data())
 def test_rank2_matches_rank(data):
@@ -714,7 +733,7 @@ def test_rank2_matches_rank(data):
 
 
 def test_span_dim_from_residues_matches_dim_sum():
-    from qkig.oracle import _sample_z, _span_dim_with
+    from qkig.oracle import _rank2, _residues, _sample_z
     seen = set()
     for n in (2, 3, 4):
         for seed in range(31):
@@ -730,7 +749,8 @@ def test_span_dim_from_residues_matches_dim_sum():
                    coordinate_plane(n, 1, 2 * n)]
             for z in zs:
                 ds = dim_sum(x, y, z)
-                assert _span_dim_with(span, z) == ds
+                (ru, _), (rw, _) = _residues(span, z)
+                assert len(span) + _rank2(ru, rw) == ds
                 seen.add(ds)
     assert seen == {4, 5, 6}
 
