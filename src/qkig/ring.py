@@ -12,8 +12,8 @@ kernels map a trusted pair to ((shift, pair), coeff) terms, Seidel's to its
 image key (shift, pair), rewriting only non-basis indices via ``_normalize``.
 A memo dict (one per call, or per operator across an ``apply_word``) holds
 each pair's image; ``_apply_termwise`` sums images into a fresh dict for
-``_from_valid``.  S^2 = q^2 makes Seidel injective on keys, so
-``_seidel_shift`` moves each term to its image key, and raises if two meet.
+``_from_valid``.  S^2 = q^2 makes Seidel injective on keys: ``_seidel_shift``
+moves each term to its image key, and raises if two terms meet.
 """
 
 from typing import NamedTuple

@@ -528,7 +528,7 @@ def test_witness_preconditions():
         gamma3_witness(x, x, z)
     with pytest.raises(GeometryError, match="planes of different n: 3 and 4"):
         gamma3_witness(x, coordinate_plane(4, 7, 8), z)
-    with pytest.raises(GeometryError, match=r"rows must have length 2n = 6"):
+    with pytest.raises(GeometryError, match="rows must have length 2n = 6"):
         gamma3_witness(x, y, coordinate_plane(4, 1, 3))
     with pytest.raises(GeometryError, match="general position"):
         gamma4_witness(x, x, z)
