@@ -10,6 +10,8 @@ from qkig.neighborhoods import (
     condition_L1,
     deg2_birational_case,
     dim_moduli,
+    dim_only,
+    empty_locus,
     gamma_broken,
     gamma_pair,
     gamma_point_pair,
@@ -18,6 +20,7 @@ from qkig.neighborhoods import (
     q_support_product,
     seidel_neighborhood,
     upper_flag,
+    whole_space,
 )
 from qkig.pairs import (
     InvalidPairError,
@@ -293,6 +296,39 @@ def _neighborhoods_record(n, u, v):
         [gamma_pair(n, u, v, d).to_dict() for d in (1, 2, 3, 4)],
         [gamma_broken(n, u, v, d).to_dict() for d in (1, 2, 3, 4)],
     ]
+
+
+def _reference_gamma_broken(n, u, v, d):
+    """``gamma_broken`` as it read when it restated each of its rules."""
+    (p1, p2), (q1, q2) = u, v
+    if d >= 4:
+        return whole_space(n)
+    if d == 3:
+        return meets_subspace(n, lower_flag(n, p2) | upper_flag(n, q2))
+    if d == 2:
+        if p2 + q2 > 2 * n:
+            return meets_subspace(n, lower_flag(n, p1)
+                                  | (lower_flag(n, p2) & upper_flag(n, q2))
+                                  | upper_flag(n, q1))
+        return empty_locus()
+    if condition_C1(n, u, v):
+        return whole_space(n)
+    if condition_L1(n, u, v):
+        if richardson_nonempty(n, u, v):
+            return dim_only(dim_moduli(n, u, v, 1) - 1,
+                            note="divisor inside the degree-1 neighborhood")
+        return empty_locus()
+    return meets_subspace(n, lower_flag(n, p2) & upper_flag(n, q2))
+
+
+def test_gamma_broken_matches_reference():
+    # whole Descriptors, note included: the pinned digest below hashes
+    # to_dict(), which drops the note
+    for n in range(2, 9):
+        for u, v in itertools.product(basis_list(n), repeat=2):
+            for d in range(1, 6):
+                assert gamma_broken(n, u, v, d) == \
+                    _reference_gamma_broken(n, u, v, d), (n, u, v, d)
 
 
 def test_neighborhoods_outputs_are_pinned():

@@ -638,6 +638,34 @@ def test_sample_z_modes_and_partner_plane():
     assert _partner_plane(2, e[0], [0, 1, 0, 1]) == coordinate_plane(2, 1, 2)
 
 
+@settings(max_examples=300, derandomize=True)
+@given(st.data())
+def test_partner_plane_is_isotropic_by_construction(data):
+    # a plane _partner_plane returns is isotropic and contains a, whatever
+    # the candidate and ``within``; the construction needs no isotropy test
+    from qkig.oracle import _partner_plane
+    n = data.draw(st.integers(2, 5))
+    vec = st.lists(_ENTRIES, min_size=2 * n, max_size=2 * n)
+    a = data.draw(vec.filter(any))
+    kind = data.draw(st.sampled_from(["random", "zero", "multiple"]))
+    if kind == "random":
+        cand = data.draw(vec)
+    elif kind == "zero":
+        cand = [0] * (2 * n)
+    else:
+        cand = [data.draw(st.integers(-3, 3)) * x for x in a]
+    within = data.draw(st.sampled_from(["none", "units", "span"]))
+    if within == "none":
+        within = None
+    elif within == "units":
+        idxs = data.draw(st.lists(st.integers(0, 2 * n - 1), unique=True))
+        within = [[int(j == i) for j in range(2 * n)] for i in idxs]
+    else:
+        within = data.draw(st.lists(vec, min_size=1, max_size=4))
+    t = _partner_plane(n, a, cand, within=within)
+    assert t is None or (t.is_isotropic() and dim_sum(t, [a]) == 2)
+
+
 def test_gram_rank():
     x = coordinate_plane(3, 1, 2)
     y = coordinate_plane(3, 5, 6)
