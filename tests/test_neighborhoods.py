@@ -299,7 +299,7 @@ def _neighborhoods_record(n, u, v):
 
 
 def _reference_gamma_broken(n, u, v, d):
-    """``gamma_broken`` as it read when it restated each of its rules."""
+    """``gamma_broken`` with each of its rules written out in full."""
     (p1, p2), (q1, q2) = u, v
     if d >= 4:
         return whole_space(n)

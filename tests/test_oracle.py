@@ -666,6 +666,21 @@ def test_partner_plane_is_isotropic_by_construction(data):
     assert t is None or (t.is_isotropic() and dim_sum(t, [a]) == 2)
 
 
+def test_partner_plane_tests_no_isotropy(monkeypatch):
+    # only the suite's own checks test isotropy, not the plane constructions
+    calls = []
+    is_isotropic = Plane2.is_isotropic
+
+    def counting(plane):
+        calls.append(plane)
+        return is_isotropic(plane)
+
+    monkeypatch.setattr(Plane2, "is_isotropic", counting)
+    reports = [membership_suite(n, 10, 3) for n in (2, 3, 4)]
+    assert all(not r["failures"] for r in reports)
+    assert len(calls) == 280  # 520, before
+
+
 def test_gram_rank():
     x = coordinate_plane(3, 1, 2)
     y = coordinate_plane(3, 5, 6)
@@ -875,7 +890,7 @@ def test_linalg_rejects_non_integer_entries(bad):
         intersect_rowspaces([[1, 1]], m)
     with pytest.raises(TypeError):
         primitive_int_row([1, bad])
-    with pytest.raises(TypeError):  # four rows: the two-plane path
+    with pytest.raises(TypeError):  # raw rows: rank of the Gram matrix
         gram_rank(2, [[1, bad, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
