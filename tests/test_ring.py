@@ -446,6 +446,44 @@ def test_apply_word_computes_each_image_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_apply_word_keeps_images_across_words(monkeypatch):
+    import qkig.ring
+
+    word = ["divisor", "seidel", "divisor", ("q", 1)] * 3
+    start = E(6, {(0, (2, 12)): 1, (1, (5, 9)): -2, (0, (1, 4)): 3})
+    other = E(6, {(0, (3, 11)): 1, (2, (1, 2)): 5})
+    expected = [_fold(6, word, start), _fold(6, word[::-1], other)]
+    calls = []
+
+    def counting(kernel):
+        def wrapper(n, pair):
+            calls.append((kernel.__name__, n, pair))
+            return kernel(n, pair)
+        return wrapper
+
+    for name in ("_quantum_chevalley_pair", "_seidel_pair"):
+        monkeypatch.setattr(qkig.ring, name, counting(getattr(qkig.ring, name)))
+    apply_word(3, word, E.unit(3))
+    apply_word(6, word, start)
+    seen = set(calls)
+    calls.clear()
+    # a later word at the same n reads the images of the pairs seen before
+    assert apply_word(6, word, start) == expected[0]
+    assert calls == []
+    assert apply_word(6, word[::-1], other) == expected[1]
+    assert calls and seen.isdisjoint(calls) and len(calls) == len(set(calls))
+
+    # a kernel patched after the images were kept runs in their place
+    monkeypatch.undo()
+    both = E(3, {(0, (1, 3)): 1, (0, (2, 3)): 1})
+    apply_word(3, ["seidel"], both)
+    kernel = qkig.ring._seidel_pair
+    monkeypatch.setattr(qkig.ring, "_seidel_pair", lambda n, pair: kernel(
+        n, (2, 3) if pair == (1, 3) else pair))
+    with pytest.raises(RuntimeError, match="seidel sent two terms of"):
+        apply_word(3, ["seidel"], both)
+
+
 # sends (1, 3) where (2, 3) goes, so Seidel is no longer injective on keys
 _BROKEN_SEIDEL = """
 import qkig.ring as r
