@@ -8,12 +8,16 @@ or (C2) on the index pairs hold.  Products outside these families are
 rejected rather than approximated.
 
 Keys are validated once, by the public ``RingElement`` constructor.  The
-kernels map a trusted pair to ((shift, pair), coeff) terms, Seidel's to its
+kernels map a trusted pair to (shift, pair, coeff) terms, Seidel's to its
 image key (shift, pair), rewriting only non-basis indices via ``_normalize``.
-A memo dict (one per call, or per operator across an ``apply_word``) holds
-each pair's image; ``_apply_termwise`` sums images into a fresh dict for
-``_from_valid``.  S^2 = q^2 makes Seidel injective on keys: ``_seidel_shift``
-moves each term to its image key, and raises if two terms meet.
+Each call of a single operator memoizes pair images in a dict of its own and
+keeps none.  ``apply_word`` keeps one table per kernel and n, shared by every
+later word at that n: at most 2n(n - 1) images, one per basis pair, whose
+equal pairs, terms and Seidel keys are one object each.  A kernel replaced
+after its table was filled (a test's patch) gets a fresh table.  ``_apply_termwise`` sums images
+into a fresh dict for ``_from_valid``.  S^2 = q^2 makes Seidel injective on
+keys: ``_seidel_shift`` moves each term to its image key, and raises if two
+terms meet.
 """
 
 from typing import NamedTuple
@@ -269,10 +273,13 @@ def _basis_terms(n, terms):
     return out
 
 
-# Per-pair kernels: a valid pair in, ((shift, pair), coeff) terms out.
+# Per-pair kernels: a valid pair in, (shift, pair, coeff) terms out, or
+# Seidel's image key (shift, pair).  Each call of a single operator memoizes
+# them in a dict of its own and keeps none; apply_word keeps them in _KEPT.
 def _classical_chevalley_pair(n, pair):
-    return list(_basis_terms(
-        n, _chevalley_raw_cases(n, *pair, quantum=False)).items())
+    # the raw indices of one pair are distinct: no two terms share a key
+    return [(0, (a, b), c) for c, (a, b) in _chevalley_raw_cases(
+        n, *pair, quantum=False) if is_valid_pair(n, a, b)]
 
 
 def _quantum_chevalley_pair(n, pair):
@@ -284,17 +291,17 @@ def _quantum_chevalley_pair(n, pair):
         # index (2, 2).  Its q-part is the two-to-one correction
         # q(O_{2n-2,2n} - 1) on top of the classical product.
         return _classical_chevalley_pair(n, pair) + [
-            ((1, unit_pair(n)), -1), ((1, divisor_pair(n)), 1)]
+            (1, unit_pair(n), -1), (1, divisor_pair(n), 1)]
     out = []
     for coeff, (a, b) in _chevalley_raw_cases(n, q1, q2, quantum=True):
         if 1 <= a < b <= top and a + b != top + 1:
-            out.append(((0, (a, b)), coeff))
+            out.append((0, (a, b), coeff))
             continue
         assert a >= 0, (n, pair, (a, b))
         nt = _normalize(n, a, b)
         assert not nt.antidiagonal, (n, pair, (a, b))
         if nt.pair is not None:
-            out.append(((nt.shift, nt.pair), coeff))
+            out.append((nt.shift, nt.pair, coeff))
     return out
 
 
@@ -316,24 +323,54 @@ def _apply_termwise(pair_op, n, element, memo):
         terms = memo.get(pair)
         if terms is None:
             terms = memo[pair] = pair_op(n, pair)
-        for (shift, image), c in terms:
+        for shift, image, c in terms:
             key = (d + shift, image)
             out[key] = get(key, 0) + coeff * c
     return RingElement._from_valid(n, out)
 
 
-def _seidel_shift(n, element, memo):
+def _seidel_shift(pair_op, n, element, memo):
     if element.n != n:
         raise ValueError(f"element has n={element.n}, expected {n}")
     out = {}
     for (d, pair), coeff in element._terms.items():
         key = memo.get(pair)
         if key is None:
-            key = memo[pair] = _seidel_pair(n, pair)
+            key = memo[pair] = pair_op(n, pair)
         out[(d + key[0], key[1])] = coeff
     if len(out) != len(element._terms):
         raise RuntimeError(f"seidel sent two terms of {element!r} to one key")
     return RingElement._from_valid(n, out)
+
+
+# apply_word's kept images: (share, n) -> (kernel, fill, {pair: image}); and
+# _SHARED, one object for each equal pair, term or Seidel key they hold, at
+# any n (3,445 terms of every image at n = 3..12 take 889 objects).
+_KEPT = {}
+_SHARED = {}
+
+
+def _shared(x):
+    return _SHARED.setdefault(x, x)
+
+
+def _share_terms(terms):
+    return tuple([_shared((s, _shared(p), c)) for s, p, c in terms])
+
+
+def _share_key(key):
+    return _shared((key[0], _shared(key[1])))
+
+
+def _kept(kernel, share, n):
+    """apply_word's table of kernel's images at n, and the op that fills it
+    with ``share``d copies of kernel's output.  A table that another kernel
+    filled (one since patched) is replaced."""
+    entry = _KEPT.get((share, n))
+    if entry is None or entry[0] is not kernel:
+        entry = _KEPT[share, n] = (
+            kernel, lambda m, pair: share(kernel(m, pair)), {})
+    return entry[1], entry[2]
 
 
 def classical_chevalley(n, element):
@@ -348,7 +385,7 @@ def quantum_chevalley(n, element):
 
 def seidel(n, element):
     """Multiplication by O_{n-1,n}: the index shift (a, b) -> (a-n, b-n)."""
-    return _seidel_shift(n, element, {})
+    return _seidel_shift(_seidel_pair, n, element, {})
 
 
 def richardson_special_expand(n, p):
@@ -448,20 +485,25 @@ def sign_check(element, cu, cv):
 
 
 def apply_word(n, word, start=None):
-    """Fold a word of operators over an element (default: the unit), with
-    one memo of pair images per operator for the whole word.
+    """Fold a word of operators over an element (default: the unit).
+
+    The divisor and Seidel images of each pair are kept after the word ends,
+    in one table per operator and n that every later word at that n reads:
+    at most 2n(n - 1) images each, one per basis pair.  The single operators
+    ``quantum_chevalley``, ``seidel`` and ``classical_chevalley`` keep none.
 
     Tokens: "divisor", "seidel", "q" or ("q", k), ("scalar", k).
     """
     out = RingElement.unit(n) if start is None else start
     if out.n != n:
         raise ValueError(f"start element has n={out.n}, expected {n}")
-    divisor_images, seidel_images = {}, {}
+    divisor_fill, divisor_images = _kept(_quantum_chevalley_pair, _share_terms, n)
+    seidel_fill, seidel_images = _kept(_seidel_pair, _share_key, n)
     for token in word:
         if token == "divisor":
-            out = _apply_termwise(_quantum_chevalley_pair, n, out, divisor_images)
+            out = _apply_termwise(divisor_fill, n, out, divisor_images)
         elif token == "seidel":
-            out = _seidel_shift(n, out, seidel_images)
+            out = _seidel_shift(seidel_fill, n, out, seidel_images)
         elif token == "q":
             out = out.times_q(1)
         elif isinstance(token, tuple) and len(token) == 2 and token[0] == "q":

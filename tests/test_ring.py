@@ -347,7 +347,8 @@ def test_operators_are_termwise_linear(n, data):
 def _summed(terms):
     """Kernel terms summed by (shift, pair) key, zero sums dropped."""
     out = {}
-    for key, c in terms:
+    for shift, pair, c in terms:
+        key = (shift, pair)
         out[key] = out.get(key, 0) + c
     return {key: c for key, c in out.items() if c}
 
@@ -366,7 +367,7 @@ def _reference_chevalley(n, pair, quantum):
         nt = normalize_extended(n, a, b)
         assert not nt.antidiagonal, (n, pair, (a, b))
         if nt.pair is not None and (quantum or nt.shift == 0):
-            terms.append(((nt.shift, nt.pair), coeff))
+            terms.append((nt.shift, nt.pair, coeff))
     return _summed(terms)
 
 
@@ -482,6 +483,55 @@ def test_apply_word_keeps_images_across_words(monkeypatch):
         n, (2, 3) if pair == (1, 3) else pair))
     with pytest.raises(RuntimeError, match="seidel sent two terms of"):
         apply_word(3, ["seidel"], both)
+
+
+def _every_pair(n):
+    return E(n, {(0, p): 1 for p in basis_list(n)})
+
+
+def test_kept_images_stay_lean(monkeypatch):
+    import gc
+    import tracemalloc
+
+    import qkig.ring
+
+    def snapshot():
+        return ({key: (kernel, fill, dict(images))
+                 for key, (kernel, fill, images) in qkig.ring._KEPT.items()},
+                dict(qkig.ring._SHARED))
+
+    apply_word(3, ["divisor", "seidel"], _every_pair(3))
+    before = snapshot()
+    for n in range(2, 17):
+        for op in (quantum_chevalley, seidel, classical_chevalley):
+            op(n, _every_pair(n))
+    assert snapshot() == before  # the single operators keep no images
+
+    # fresh tables, filled for every pair at n = 3..12
+    monkeypatch.setattr(qkig.ring, "_KEPT", {})
+    monkeypatch.setattr(qkig.ring, "_SHARED", {})
+    starts = {n: _every_pair(n) for n in range(3, 13)}
+    tracemalloc.start()
+    try:
+        gc.collect()  # empties the free lists, which would hide allocations
+        floor = tracemalloc.get_traced_memory()[0]
+        for n, start in starts.items():
+            apply_word(n, ["divisor"], start)
+            apply_word(n, ["seidel"], start)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - floor
+    finally:
+        tracemalloc.stop()
+    assert kept <= 500_000, kept
+    terms = []
+    for (share, n), (_, _, images) in qkig.ring._KEPT.items():
+        assert len(images) == len(basis_list(n))
+        for image in images.values():
+            terms += [image] if share is qkig.ring._share_key else image
+    pairs = [term[1] for term in terms]
+    # equal values held by the tables are one object
+    for held in (terms, pairs):
+        assert len({id(x) for x in held}) == len(set(held)) < len(held)
 
 
 # sends (1, 3) where (2, 3) goes, so Seidel is no longer injective on keys
