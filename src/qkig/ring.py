@@ -14,10 +14,10 @@ Each call of a single operator memoizes pair images in a dict of its own and
 keeps none.  ``apply_word`` keeps one table per kernel and n, shared by every
 later word at that n: at most 2n(n - 1) images, one per basis pair, whose
 equal pairs, terms and Seidel keys are one object each.  A kernel replaced
-after its table was filled (a test's patch) gets a fresh table.  ``_apply_termwise`` sums images
-into a fresh dict for ``_from_valid``.  S^2 = q^2 makes Seidel injective on
-keys: ``_seidel_shift`` moves each term to its image key, and raises if two
-terms meet.
+after its table was filled (a test's patch) gets a fresh table.
+``_apply_termwise`` sums images into a fresh dict for ``_from_valid``.
+S^2 = q^2 makes Seidel injective on keys: ``_seidel_shift`` moves each term
+to its image key, and raises if two terms meet.
 """
 
 from typing import NamedTuple
