@@ -102,7 +102,7 @@ def test_reconstruct_examples():
         RingElement.basis(2, (2, 4))
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_reconstructions_match_closed_forms(n):
     for p in range(1, n + 1):
         assert reconstruct_xuv(n, p) == richardson_special_expand(n, p)

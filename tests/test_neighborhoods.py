@@ -137,6 +137,25 @@ def test_q_support_product_interval_and_symmetric(n):
         assert sup == q_support_product(n, v, u)
 
 
+def test_q_support_asserts_on_a_gapped_support(monkeypatch):
+    import qkig.neighborhoods as nb
+    # no pair of n <= 8 has the support {0, 1, 2}, so the gap is planted on
+    # a {1, 2} pair: degree 0 switched on, degree 1 off
+    n, u, v = 3, (1, 3), (3, 5)
+    assert nb._q_support(n, u, v) == {1, 2}
+    for name, value in (("_richardson_nonempty", True), ("_c1", False),
+                        ("_l1", False)):
+        def planted(m, a, b, _real=getattr(nb, name), _value=value):
+            return _value if (m, a, b) == (n, u, v) else _real(m, a, b)
+
+        monkeypatch.setattr(nb, name, planted)
+    assert nb._q_support(n, (2, 6), (4, 6)) == {0, 1}
+    with pytest.raises(AssertionError):
+        nb._q_support(n, u, v)
+    with pytest.raises(AssertionError):
+        q_support_product(n, list(u), list(v))
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_q_support_matches_closed_forms(n):
     dv, sd = divisor_pair(n), seidel_pair(n)
