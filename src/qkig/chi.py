@@ -35,6 +35,13 @@ def ideal_to_schubert(n):
     return basis, z, m
 
 
+@lru_cache(maxsize=None)
+def _inverse_rows(n):
+    """The nonzero (column, entry) pairs of each row of M, in column order."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                 for row in ideal_to_schubert(n)[2])
+
+
 def invert_lower_unitriangular(z):
     """Exact integer inverse of a lower unitriangular integer matrix."""
     size = len(z)
@@ -104,18 +111,17 @@ def _reconstruct(n, chi_of_opposite_pair):
     intersected; the ideal-sheaf class it weights sits at the dual pair
     (the Schubert variety through the same torus-fixed plane), so the
     callback receives trusted pairs.  The expansion coefficients are the
-    row vector chi^T M; M is lower triangular and mostly zero, so only the
-    nonzero entries of chi and of each row of M up to the diagonal enter.
+    row vector chi^T M, accumulated over the nonzero entries of chi and the
+    per-n sparse rows of M (``_inverse_rows``) only.
     """
-    basis, _, m = ideal_to_schubert(n)
+    basis, _, _ = ideal_to_schubert(n)
     top = 2 * n + 1
     acc = [0] * len(basis)
-    for i, (a, b) in enumerate(basis):
+    for (a, b), row in zip(basis, _inverse_rows(n)):
         c = chi_of_opposite_pair((top - b, top - a))
         if c:
-            for j, mij in enumerate(m[i][:i + 1]):
-                if mij:
-                    acc[j] += c * mij
+            for j, mij in row:
+                acc[j] += c * mij
     coeffs = {(0, w): c for w, c in zip(basis, acc) if c}
     return RingElement._from_valid(n, coeffs)
 

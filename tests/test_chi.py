@@ -111,6 +111,31 @@ def test_reconstructions_match_closed_forms(n):
             classical_chevalley(n, RingElement.basis(n, v))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_inverse_rows_are_the_nonzero_entries_of_m(n):
+    from qkig.chi import _inverse_rows
+    _, _, m = ideal_to_schubert(n)
+    assert [list(row) for row in _inverse_rows(n)] == \
+        [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    assert max(map(len, _inverse_rows(n))) <= 6
+
+
+def test_brion_checks_the_sparse_rows(monkeypatch):
+    import qkig.chi
+    from qkig import verify
+    real = qkig.chi._inverse_rows
+    rows = list(real(3))
+    # row 0 weights the opposite pair (2n - 1, 2n), where every chi_xuv
+    # table is nonzero; plant one wrong entry there
+    assert rows[0] == ((0, 1),)
+    rows[0] = ((0, 2),)
+    monkeypatch.setattr(qkig.chi, "_inverse_rows",
+                        lambda n: tuple(rows) if n == 3 else real(n))
+    report = verify.run_brion(4)
+    assert report["checks"] == 49
+    assert report["failures"] and {f["n"] for f in report["failures"]} == {3}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_chevalley_chi_nonzero_needs_crossing_pairs(n):
     # a nonzero entry forces the two index pairs to cross, which is the
