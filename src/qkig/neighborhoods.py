@@ -272,8 +272,8 @@ def q_support_product(n, u, v):
 
     Assembled degree by degree: d = 0 from Richardson nonemptiness, d = 1
     from (L1)-birationality or (C1), d = 2 from degree-2 birationality or
-    (C2).  The result is asserted to be a nonempty integer interval: built
-    from {0, 1, 2}, it must be nonempty and not {0, 2}.
+    (C2).  The result is asserted to be a nonempty integer interval, which
+    for a subset of {0, 1, 2} means nonempty and not {0, 2}.
     """
     return _q_support(n, require_valid(n, u), require_valid(n, v))
 
