@@ -320,6 +320,22 @@ def test_golden_apply_word():
         "225bca7659e5790e59da505f09dd5548b781396928af124f51a05214b912b910")
 
 
+def test_golden_apply_word_past_n_8():
+    # multi-term starts with q-powers, at the n the benchmark reaches and past
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for n in range(9, 17):
+        for _ in range(4):
+            pairs = rng.sample(basis_list(n), rng.randint(2, 6))
+            start = RingElement(n, {(rng.randint(0, 2), p): rng.choice(
+                [-3, -1, 1, 2, 5]) for p in pairs})
+            word = _seeded_word(rng)
+            out = apply_word(n, word, start)
+            digest.update(repr((n, word, start.to_dict(), out.to_dict())).encode())
+    assert digest.hexdigest() == (
+        "015a59817c87cfb364cfff89bc6f203847d5fe4ec1af7be805ce63560e1c95d1")
+
+
 def test_verify_output_is_pinned(capsys):
     # every suite's check count, failure count and params, and the exit code
     code, out, _ = run(capsys, ["verify", "--suite", "all", "--n-max", "6",

@@ -568,6 +568,52 @@ def test_seidel_is_a_bijection_on_keys(monkeypatch):
     assert out.stdout.startswith("False seidel sent two terms of"), out.stdout
 
 
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_apply_word_token_errors_match_the_element_methods():
+    # a bad q or scalar letter raises times_q's or scale's own error, on the
+    # unit, on a zero element and after a divisor letter
+    n = 3
+    bad = [(("q", k), lambda e, k=k: e.times_q(k)) for k in (-1, 1.5, True)]
+    bad += [(("scalar", k), lambda e, k=k: e.scale(k)) for k in (1.5, True)]
+    prefixes = [([], E.unit(n)), ([("scalar", 0)], E.zero(n)),
+                (["divisor"], quantum_chevalley(n, E.unit(n)))]
+    for token, method in bad:
+        want = _raised(lambda: method(E.unit(n)))
+        assert want[0] in (ValueError, TypeError), want
+        for prefix, element in prefixes:
+            assert _raised(lambda: method(element)) == want
+            assert _raised(lambda: apply_word(n, prefix + [token])) == want
+
+
+def test_apply_word_seidel_collision_message_matches_seidel(monkeypatch):
+    import qkig.ring
+
+    reprs = []
+    plain_repr = E.__repr__
+    monkeypatch.setattr(E, "__repr__", lambda e: reprs.append(e) or plain_repr(e))
+    apply_word(6, ["seidel", "divisor", "seidel", "q"] * 4)
+    assert reprs == []  # the message is built only when a collision happens
+    monkeypatch.undo()
+
+    kernel = qkig.ring._seidel_pair
+    monkeypatch.setattr(qkig.ring, "_seidel_pair", lambda n, pair: kernel(
+        n, (2, 3) if pair == (1, 3) else pair))
+    # (1, 3) and (2, 3) both occur in D * O_{2,4}, a mid-word element
+    for word, start, before in (
+            (["seidel"], E(3, {(0, (1, 3)): 1, (0, (2, 3)): 1}), None),
+            (["divisor", "seidel"], O(3, (2, 4), coeff=2),
+             quantum_chevalley(3, O(3, (2, 4), coeff=2)))):
+        before = start if before is None else before
+        want = _raised(lambda: seidel(3, before))
+        assert want[0] is RuntimeError and repr(before) in want[1], want
+        assert _raised(lambda: apply_word(3, word, start)) == want
+
 def test_sign_rule_and_expansions_do_not_revalidate(monkeypatch):
     import qkig.pairs
     import qkig.ring
