@@ -10,14 +10,13 @@ rejected rather than approximated.
 Keys are validated once, by the public ``RingElement`` constructor.  The
 kernels map a trusted pair to (shift, pair, coeff) terms, Seidel's to its
 image key (shift, pair), rewriting only non-basis indices via ``_normalize``.
-Each call of a single operator memoizes pair images in a dict of its own and
-keeps none.  ``apply_word`` keeps one table per kernel and n, shared by every
-later word at that n: at most 2n(n - 1) images, one per basis pair, whose
-equal pairs, terms and Seidel keys are one object each.  A kernel replaced
-after its table was filled (a test's patch) gets a fresh table.
-``_apply_termwise`` sums images into a fresh dict for ``_from_valid``.
-S^2 = q^2 makes Seidel injective on keys: ``_seidel_shift`` moves each term
-to its image key, and raises if two terms meet.
+A single operator memoizes pair images in a dict per call and keeps none.
+``apply_word`` folds on {code: coeff} dicts, code = d * N + index(p) for
+q^d * O_p and N = 2n(n - 1), over one ``_Store`` per n: a divisor image is
+a tuple of interned (offset, coeff) terms, a Seidel image one offset, with
+offset = shift * N + index(image) - index(pair).
+S^2 = q^2 makes Seidel injective on keys: both paths move each term to its
+image key, and raise if two terms meet.
 """
 
 from typing import NamedTuple
@@ -28,6 +27,7 @@ from .pairs import (
     _c2,
     _check_n,
     _dim_schubert,
+    basis_list,
     dim_space,
     divisor_pair,
     fano_index,
@@ -84,6 +84,18 @@ def _normalize(n, a, b):
             continue
         # a >= 1 with b > 2n: outside the quasi-periodic range
         return NormalizedTerm(shift, None)
+
+
+def _checked_shift(k):
+    if type(k) is not int or k < 0:
+        raise ValueError(f"q-shift must be a nonnegative integer, got {k!r}")
+    return k
+
+
+def _checked_scalar(k):
+    if type(k) is not int:
+        raise TypeError(f"scalar must be an integer, got {k!r}")
+    return k
 
 
 def _term_key(item):
@@ -158,15 +170,12 @@ class RingElement:
         return self.q_part(0)
 
     def times_q(self, k):
-        if type(k) is not int or k < 0:
-            raise ValueError(f"q-shift must be a nonnegative integer, got {k!r}")
-        if k == 0:
+        if _checked_shift(k) == 0:
             return self
         return self._from_valid(self.n, {(d + k, p): c for (d, p), c in self._terms.items()})
 
     def scale(self, k):
-        if type(k) is not int:
-            raise TypeError(f"scalar must be an integer, got {k!r}")
+        _checked_scalar(k)
         return self._from_valid(self.n, {key: k * c for key, c in self._terms.items()})
 
     def _merged(self, other, sign):
@@ -314,10 +323,10 @@ def _seidel_pair(n, pair):
     return nt.shift, nt.pair
 
 
-def _apply_termwise(pair_op, n, element, memo):
+def _apply_termwise(pair_op, n, element):
     if element.n != n:
         raise ValueError(f"element has n={element.n}, expected {n}")
-    out = {}
+    out, memo = {}, {}
     get = out.get
     for (d, pair), coeff in element._terms.items():
         terms = memo.get(pair)
@@ -329,10 +338,10 @@ def _apply_termwise(pair_op, n, element, memo):
     return RingElement._from_valid(n, out)
 
 
-def _seidel_shift(pair_op, n, element, memo):
+def _seidel_shift(pair_op, n, element):
     if element.n != n:
         raise ValueError(f"element has n={element.n}, expected {n}")
-    out = {}
+    out, memo = {}, {}
     for (d, pair), coeff in element._terms.items():
         key = memo.get(pair)
         if key is None:
@@ -343,49 +352,49 @@ def _seidel_shift(pair_op, n, element, memo):
     return RingElement._from_valid(n, out)
 
 
-# apply_word's kept images: (share, n) -> (kernel, fill, {pair: image}); and
-# _SHARED, one object for each equal pair, term or Seidel key they hold, at
-# any n (3,445 terms of every image at n = 3..12 take 889 objects).
-_KEPT = {}
-_SHARED = {}
+class _Store:
+    """apply_word's images at one n: the basis, each pair's index in it, and
+    per operator its kernel and a list of coded images, filled on first use.
+    A kernel replaced since its list was filled gets a fresh list instead."""
+
+    __slots__ = ("basis", "index", "lists")
+
+    def __init__(self, n):
+        self.basis = basis_list(n)
+        self.index = {p: i for i, p in enumerate(self.basis)}
+        self.lists = {}
+
+    def images(self, name, kernel):
+        entry = self.lists.get(name)
+        if entry is None or entry[0] is not kernel:
+            entry = self.lists[name] = (kernel, [None] * len(self.basis))
+        return entry[1]
+
+    def decode(self, n, codes):
+        size, basis = len(self.basis), self.basis
+        return RingElement._from_valid(n, {
+            (code // size, basis[code % size]): c for code, c in codes.items()})
 
 
-def _shared(x):
-    return _SHARED.setdefault(x, x)
-
-
-def _share_terms(terms):
-    return tuple([_shared((s, _shared(p), c)) for s, p, c in terms])
-
-
-def _share_key(key):
-    return _shared((key[0], _shared(key[1])))
-
-
-def _kept(kernel, share, n):
-    """apply_word's table of kernel's images at n, and the op that fills it
-    with ``share``d copies of kernel's output.  A table that another kernel
-    filled (one since patched) is replaced."""
-    entry = _KEPT.get((share, n))
-    if entry is None or entry[0] is not kernel:
-        entry = _KEPT[share, n] = (
-            kernel, lambda m, pair: share(kernel(m, pair)), {})
-    return entry[1], entry[2]
+# n -> apply_word's _Store; and one object for each equal (offset, coeff)
+# divisor term at any n (3,445 terms at n = 3..12 hold 214).
+_STORES = {}
+_TERMS = {}
 
 
 def classical_chevalley(n, element):
     """Multiplication by the Schubert divisor class in K(X), termwise."""
-    return _apply_termwise(_classical_chevalley_pair, n, element, {})
+    return _apply_termwise(_classical_chevalley_pair, n, element)
 
 
 def quantum_chevalley(n, element):
     """Multiplication by the Schubert divisor class in QK(X), termwise."""
-    return _apply_termwise(_quantum_chevalley_pair, n, element, {})
+    return _apply_termwise(_quantum_chevalley_pair, n, element)
 
 
 def seidel(n, element):
     """Multiplication by O_{n-1,n}: the index shift (a, b) -> (a-n, b-n)."""
-    return _seidel_shift(_seidel_pair, n, element, {})
+    return _seidel_shift(_seidel_pair, n, element)
 
 
 def richardson_special_expand(n, p):
@@ -487,29 +496,56 @@ def sign_check(element, cu, cv):
 def apply_word(n, word, start=None):
     """Fold a word of operators over an element (default: the unit).
 
-    The divisor and Seidel images of each pair are kept after the word ends,
-    in one table per operator and n that every later word at that n reads:
-    at most 2n(n - 1) images each, one per basis pair.  The single operators
-    ``quantum_chevalley``, ``seidel`` and ``classical_chevalley`` keep none.
+    Each pair's divisor and Seidel images are kept in ``_STORES[n]`` for
+    every later word at n; the single operators keep none.
 
     Tokens: "divisor", "seidel", "q" or ("q", k), ("scalar", k).
     """
     out = RingElement.unit(n) if start is None else start
     if out.n != n:
         raise ValueError(f"start element has n={out.n}, expected {n}")
-    divisor_fill, divisor_images = _kept(_quantum_chevalley_pair, _share_terms, n)
-    seidel_fill, seidel_images = _kept(_seidel_pair, _share_key, n)
+    store = _STORES.get(n) or _STORES.setdefault(n, _Store(n))
+    size, index, basis = len(store.basis), store.index, store.basis
+    divisor_kernel, seidel_kernel = _quantum_chevalley_pair, _seidel_pair
+    divisor = store.images("divisor", divisor_kernel)
+    shifts = store.images("seidel", seidel_kernel)
+    codes = {d * size + index[p]: c for (d, p), c in out._terms.items()}
     for token in word:
         if token == "divisor":
-            out = _apply_termwise(divisor_fill, n, out, divisor_images)
+            new = {}
+            get = new.get
+            for code, coeff in codes.items():
+                image = divisor[code % size]
+                if image is None:
+                    i = code % size
+                    image = divisor[i] = tuple([_TERMS.setdefault(t, t) for t in (
+                        (s * size + index[p] - i, c)
+                        for s, p, c in divisor_kernel(n, basis[i]))])
+                for offset, c in image:
+                    key = code + offset
+                    new[key] = get(key, 0) + coeff * c
+            codes = {k: c for k, c in new.items() if c} if 0 in new.values() else new
         elif token == "seidel":
-            out = _seidel_shift(seidel_fill, n, out, seidel_images)
+            new = {}
+            for code, coeff in codes.items():
+                offset = shifts[code % size]
+                if offset is None:
+                    i = code % size
+                    s, p = seidel_kernel(n, basis[i])
+                    offset = shifts[i] = s * size + index[p] - i
+                new[code + offset] = coeff
+            if len(new) != len(codes):
+                raise RuntimeError(f"seidel sent two terms of "
+                                   f"{store.decode(n, codes)!r} to one key")
+            codes = new
         elif token == "q":
-            out = out.times_q(1)
+            codes = {code + size: c for code, c in codes.items()}
         elif isinstance(token, tuple) and len(token) == 2 and token[0] == "q":
-            out = out.times_q(token[1])
+            shift = _checked_shift(token[1]) * size
+            codes = {code + shift: c for code, c in codes.items()}
         elif isinstance(token, tuple) and len(token) == 2 and token[0] == "scalar":
-            out = out.scale(token[1])
+            k = _checked_scalar(token[1])
+            codes = {code: k * c for code, c in codes.items()} if k else {}
         else:
             raise ValueError(f"unknown operator token: {token!r}")
-    return out
+    return store.decode(n, codes)

@@ -496,9 +496,10 @@ def test_kept_images_stay_lean(monkeypatch):
     import qkig.ring
 
     def snapshot():
-        return ({key: (kernel, fill, dict(images))
-                 for key, (kernel, fill, images) in qkig.ring._KEPT.items()},
-                dict(qkig.ring._SHARED))
+        return ({n: {name: (kernel, list(images))
+                     for name, (kernel, images) in store.lists.items()}
+                 for n, store in qkig.ring._STORES.items()},
+                dict(qkig.ring._TERMS))
 
     apply_word(3, ["divisor", "seidel"], _every_pair(3))
     before = snapshot()
@@ -507,9 +508,9 @@ def test_kept_images_stay_lean(monkeypatch):
             op(n, _every_pair(n))
     assert snapshot() == before  # the single operators keep no images
 
-    # fresh tables, filled for every pair at n = 3..12
-    monkeypatch.setattr(qkig.ring, "_KEPT", {})
-    monkeypatch.setattr(qkig.ring, "_SHARED", {})
+    # fresh stores, filled for every pair at n = 3..12
+    monkeypatch.setattr(qkig.ring, "_STORES", {})
+    monkeypatch.setattr(qkig.ring, "_TERMS", {})
     starts = {n: _every_pair(n) for n in range(3, 13)}
     tracemalloc.start()
     try:
@@ -524,14 +525,32 @@ def test_kept_images_stay_lean(monkeypatch):
         tracemalloc.stop()
     assert kept <= 500_000, kept
     terms = []
-    for (share, n), (_, _, images) in qkig.ring._KEPT.items():
-        assert len(images) == len(basis_list(n))
-        for image in images.values():
-            terms += [image] if share is qkig.ring._share_key else image
-    pairs = [term[1] for term in terms]
-    # equal values held by the tables are one object
-    for held in (terms, pairs):
-        assert len({id(x) for x in held}) == len(set(held)) < len(held)
+    for n, store in qkig.ring._STORES.items():
+        assert set(store.lists) == {"divisor", "seidel"}
+        for _, images in store.lists.values():
+            # one image per basis pair
+            assert len(images) == len(basis_list(n)) and None not in images
+        terms += [term for image in store.lists["divisor"][1] for term in image]
+    # equal (offset, coeff) terms held by the stores are one object
+    assert len({id(x) for x in terms}) == len(set(terms)) < len(terms)
+
+
+def test_a_patched_kernel_replaces_its_list(monkeypatch):
+    import qkig.ring
+
+    apply_word(4, ["divisor", "seidel"])
+    store = qkig.ring._STORES[4]
+    kernel, old = store.lists["divisor"]
+    monkeypatch.setattr(qkig.ring, "_quantum_chevalley_pair",
+                        lambda n, pair: kernel(n, pair))
+    apply_word(4, ["divisor"])
+    monkeypatch.undo()
+    assert apply_word(4, ["divisor"]) == quantum_chevalley(4, E.unit(4))
+    # one list per operator: the patched kernel's list was replaced, and
+    # the restored kernel's list replaced it in turn
+    assert set(store.lists) == {"divisor", "seidel"}
+    assert store.lists["divisor"][0] is kernel
+    assert store.lists["divisor"][1] is not old
 
 
 # sends (1, 3) where (2, 3) goes, so Seidel is no longer injective on keys
