@@ -15,8 +15,8 @@ A single operator memoizes pair images in a dict per call and keeps none.
 q^d * O_p and N = 2n(n - 1), over one ``_Store`` per n: a divisor image is
 a tuple of interned (offset, coeff) terms, a Seidel image one offset, with
 offset = shift * N + index(image) - index(pair).
-S^2 = q^2 makes Seidel injective on keys: both paths move each term to its
-image key, and raise if two terms meet.
+S^2 = q^2 makes Seidel injective on keys: ``seidel`` and ``apply_word``
+move each term to its image key, and raise if two terms meet.
 """
 
 from typing import NamedTuple
@@ -284,7 +284,7 @@ def _basis_terms(n, terms):
 
 # Per-pair kernels: a valid pair in, (shift, pair, coeff) terms out, or
 # Seidel's image key (shift, pair).  Each call of a single operator memoizes
-# them in a dict of its own and keeps none; apply_word keeps them in _KEPT.
+# them in a dict of its own and keeps none; apply_word codes them into _STORES.
 def _classical_chevalley_pair(n, pair):
     # the raw indices of one pair are distinct: no two terms share a key
     return [(0, (a, b), c) for c, (a, b) in _chevalley_raw_cases(
@@ -338,20 +338,6 @@ def _apply_termwise(pair_op, n, element):
     return RingElement._from_valid(n, out)
 
 
-def _seidel_shift(pair_op, n, element):
-    if element.n != n:
-        raise ValueError(f"element has n={element.n}, expected {n}")
-    out, memo = {}, {}
-    for (d, pair), coeff in element._terms.items():
-        key = memo.get(pair)
-        if key is None:
-            key = memo[pair] = pair_op(n, pair)
-        out[(d + key[0], key[1])] = coeff
-    if len(out) != len(element._terms):
-        raise RuntimeError(f"seidel sent two terms of {element!r} to one key")
-    return RingElement._from_valid(n, out)
-
-
 class _Store:
     """apply_word's images at one n: the basis, each pair's index in it, and
     per operator its kernel and a list of coded images, filled on first use.
@@ -394,7 +380,17 @@ def quantum_chevalley(n, element):
 
 def seidel(n, element):
     """Multiplication by O_{n-1,n}: the index shift (a, b) -> (a-n, b-n)."""
-    return _seidel_shift(_seidel_pair, n, element)
+    if element.n != n:
+        raise ValueError(f"element has n={element.n}, expected {n}")
+    out, memo = {}, {}
+    for (d, pair), coeff in element._terms.items():
+        key = memo.get(pair)
+        if key is None:
+            key = memo[pair] = _seidel_pair(n, pair)
+        out[(d + key[0], key[1])] = coeff
+    if len(out) != len(element._terms):
+        raise RuntimeError(f"seidel sent two terms of {element!r} to one key")
+    return RingElement._from_valid(n, out)
 
 
 def richardson_special_expand(n, p):
@@ -497,7 +493,8 @@ def apply_word(n, word, start=None):
     """Fold a word of operators over an element (default: the unit).
 
     Each pair's divisor and Seidel images are kept in ``_STORES[n]`` for
-    every later word at n; the single operators keep none.
+    every later word at n; the single operators keep none.  Zero terms drop
+    once, when the word's result is decoded.
 
     Tokens: "divisor", "seidel", "q" or ("q", k), ("scalar", k).
     """
@@ -524,7 +521,7 @@ def apply_word(n, word, start=None):
                 for offset, c in image:
                     key = code + offset
                     new[key] = get(key, 0) + coeff * c
-            codes = {k: c for k, c in new.items() if c} if 0 in new.values() else new
+            codes = new
         elif token == "seidel":
             new = {}
             for code, coeff in codes.items():
@@ -545,7 +542,7 @@ def apply_word(n, word, start=None):
             codes = {code + shift: c for code, c in codes.items()}
         elif isinstance(token, tuple) and len(token) == 2 and token[0] == "scalar":
             k = _checked_scalar(token[1])
-            codes = {code: k * c for code, c in codes.items()} if k else {}
+            codes = {code: k * c for code, c in codes.items()}
         else:
             raise ValueError(f"unknown operator token: {token!r}")
     return store.decode(n, codes)
