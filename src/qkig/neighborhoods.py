@@ -268,25 +268,39 @@ def gamma_broken(n, u, v, d):
 
 
 def q_support_product(n, u, v):
-    """Powers of q carrying a nonzero term in O_u * O^v.
+    """Powers of q carrying a nonzero term in O_u * O^v, as a new set; the
+    rule is ``_q_support``'s."""
+    return set(_q_support(n, require_valid(n, u), require_valid(n, v)))
 
-    Assembled degree by degree: d = 0 from Richardson nonemptiness, d = 1
-    from (L1)-birationality or (C1), d = 2 from degree-2 birationality or
-    (C2).  The result is asserted to be a nonempty integer interval, which
-    for a subset of {0, 1, 2} means nonempty and not {0, 2}.
-    """
-    return _q_support(n, require_valid(n, u), require_valid(n, v))
+
+# _SUPPORTS[mask] holds the d with bit d of mask set; _INTERVALS the six
+# nonempty intervals among them, all but {0, 2}
+_SUPPORTS = tuple(frozenset(d for d in range(3) if mask >> d & 1)
+                  for mask in range(8))
+_INTERVALS = frozenset(s for s in _SUPPORTS[1:] if max(s) - min(s) < len(s))
 
 
 def _q_support(n, u, v):
-    support = set()
-    if _richardson_nonempty(n, u, v):
-        support.add(0)
-    if _c1(n, u, v) or (_l1(n, u, v) and u[1] + v[1] >= 2 * n + 1):
-        support.add(1)
-    if _c2(n, u, v) or _deg2_case(n, u, v) is not None:
-        support.add(2)
-    assert support and support != {0, 2}, (n, u, v, support)
+    """q-support of O_u * O^v for trusted pairs, a shared frozenset of
+    ``_SUPPORTS``: q^0 iff ``_richardson_nonempty``, q^1 iff ``_c1`` or
+    ``_l1`` with p2 + q2 >= 2n + 1, q^2 iff ``_c2`` or a ``_deg2_case``.
+    Asserted to be a nonempty interval.
+
+    One pass over p1 + q2, p2 + q1, p1 + q1, p2 + q2 and the deltas: (C1)
+    extends (L1)'s p2 = q2 = 2n branch to p1 + q1 = 2n, where both deltas
+    are 1, and (C2)'s equal gaps follow from p1 + q2 = 2n = p2 + q1.
+    """
+    (p1, p2), (q1, q2) = u, v
+    two_n = 2 * n
+    a, b = p1 + q2, p2 + q1
+    dp, dq = p1 + p2 > two_n + 1, q1 + q2 > two_n + 1
+    support = _SUPPORTS[
+        (a > two_n and b > two_n)
+        | (p2 + q2 > two_n and p1 + q1 < two_n + (dp and dq)) << 1
+        | (a < two_n and b < two_n
+           or (dp or dq) and a <= two_n and b <= two_n
+           and (a + b < 2 * two_n or p2 - p1 >= 2)) << 2]
+    assert support in _INTERVALS, (n, u, v, support)
     return support
 
 

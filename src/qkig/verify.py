@@ -140,7 +140,7 @@ def run_interval(n_max):
                 sup_uv = nb._q_support(n, u, v)
                 sup_vu = sup_uv if diagonal else nb._q_support(n, v, u)
                 checks += 2 if diagonal else 4
-                if sup_uv == sup_vu and _is_interval(sup_uv):
+                if sup_uv == sup_vu and sup_uv in nb._INTERVALS:
                     continue
                 for a, b, sup in ((u, v, sup_uv),
                                   (v, u, sup_vu))[:1 if diagonal else 2]:

@@ -139,21 +139,35 @@ def test_q_support_product_interval_and_symmetric(n):
 
 def test_q_support_asserts_on_a_gapped_support(monkeypatch):
     import qkig.neighborhoods as nb
-    # no pair of n <= 8 has the support {0, 1, 2}, so the gap is planted on
-    # a {1, 2} pair: degree 0 switched on, degree 1 off
+    # no pair of n <= 8 has the support {0, 1, 2}, so the gap is planted in
+    # the kernel's lookup: the {1, 2} entry (mask 6) reads {0, 2}
     n, u, v = 3, (1, 3), (3, 5)
     assert nb._q_support(n, u, v) == {1, 2}
-    for name, value in (("_richardson_nonempty", True), ("_c1", False),
-                        ("_l1", False)):
-        def planted(m, a, b, _real=getattr(nb, name), _value=value):
-            return _value if (m, a, b) == (n, u, v) else _real(m, a, b)
-
-        monkeypatch.setattr(nb, name, planted)
+    supports = list(nb._SUPPORTS)
+    supports[6] = frozenset({0, 2})
+    monkeypatch.setattr(nb, "_SUPPORTS", tuple(supports))
     assert nb._q_support(n, (2, 6), (4, 6)) == {0, 1}
     with pytest.raises(AssertionError):
         nb._q_support(n, u, v)
     with pytest.raises(AssertionError):
         q_support_product(n, list(u), list(v))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_q_support_kernel_matches_the_predicates(n):
+    # the one-pass kernel against the rule as its docstring states it
+    import qkig.neighborhoods as nb
+    from qkig.pairs import _c1, _c2, _richardson_nonempty
+    for u, v in itertools.product(basis_list(n), repeat=2):
+        bits = (_richardson_nonempty(n, u, v),
+                _c1(n, u, v) or nb._l1(n, u, v) and u[1] + v[1] >= 2 * n + 1,
+                _c2(n, u, v) or nb._deg2_case(n, u, v) is not None)
+        expected = {d for d, bit in enumerate(bits) if bit}
+        assert nb._q_support(n, u, v) == expected, (u, v)
+        public = q_support_product(n, u, v)
+        assert type(public) is set and public == expected
+        public.add(7)  # a caller's set, not the kernel's shared frozenset
+        assert nb._q_support(n, u, v) == expected
 
 
 @pytest.mark.parametrize("n", range(2, 7))
