@@ -170,12 +170,16 @@ def cmd_table(args):
     n = args.n
     op_pair = divisor_pair(n) if args.op == "divisor" else seidel_pair(n)
     apply_op = ring.quantum_chevalley if args.op == "divisor" else ring.seidel
-    prods = [(v, apply_op(n, ring.RingElement.basis(n, v)))
-             for v in basis_list(n)]
+    prods = ((v, apply_op(n, ring.RingElement.basis(n, v)))
+             for v in basis_list(n))
     if args.format == "json":
-        rows = [{"pair": list(v), "product": prod.to_dict()["terms"]}
-                for v, prod in prods]
-        _emit_json({"n": n, "op": args.op, "by": list(op_pair), "rows": rows})
+        # "rows" sorts last: the bytes of json.dumps(payload, sort_keys=True)
+        print(json.dumps({"n": n, "op": args.op, "by": list(op_pair)},
+                         sort_keys=True)[:-1] + ', "rows": [', end="")
+        for i, (v, prod) in enumerate(prods):
+            row = {"pair": list(v), "product": prod.to_dict()["terms"]}
+            print(", " * (i > 0) + json.dumps(row, sort_keys=True), end="")
+        print("]}")
     else:
         a, b = op_pair
         for v, prod in prods:
@@ -183,7 +187,7 @@ def cmd_table(args):
     return EXIT_OK
 
 
-def build_parser():
+def build_parser(command=None):
     parser = argparse.ArgumentParser(
         prog="qkig",
         description="Exact products and curve neighborhoods for the quantum "
@@ -235,6 +239,12 @@ def build_parser():
          [n, ("--op", {"required": True, "choices": ["divisor", "seidel"]}),
           ("--format", {"default": "text", "choices": ["json", "text"]})]),
     ]
+    names = [row[0] for row in commands]
+    if command in names:  # build that command's subparser alone
+        # the metavar keeps the top-level usage listing every command; in
+        # the full build it would reword the "required: command" error
+        sub.metavar = "{" + ",".join(names) + "}"
+        commands = [commands[names.index(command)]]
     for name, fn, help_text, options in commands:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn, parser=p)
@@ -244,8 +254,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         result = args.fn(args)
         # a handler returns its exit code, or the ring element to print

@@ -1,15 +1,17 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from qkig.cli import EXIT_BROKEN_PIPE, build_parser, main
-from qkig.pairs import basis_list
-from qkig.ring import RingElement, apply_word
+from qkig.pairs import basis_list, divisor_pair, seidel_pair
+from qkig.ring import RingElement, apply_word, quantum_chevalley, seidel
 
 
 def run(capsys, argv):
@@ -260,6 +262,36 @@ def test_table_byte_stable(capsys):
     assert "O_{1,2} * O_{3,4} = O_{1,2}" in out
 
 
+def test_table_json_is_the_sorted_payload(capsys):
+    # written a row at a time, with the bytes of the whole payload's dump
+    for n in range(2, 17):
+        for op, by, apply_op in (("divisor", divisor_pair, quantum_chevalley),
+                                 ("seidel", seidel_pair, seidel)):
+            rows = [{"pair": list(v), "product":
+                     apply_op(n, RingElement.basis(n, v)).to_dict()["terms"]}
+                    for v in basis_list(n)]
+            payload = {"n": n, "op": op, "by": list(by(n)), "rows": rows}
+            code, out, err = run(capsys, ["table", "--n", str(n), "--op", op,
+                                          "--format", "json"])
+            assert (code, err) == (0, "")
+            assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_table_json_never_holds_the_table():
+    # the whole n = 16 table peaked at 1.7 MB; the output goes to devnull so
+    # that only the command's own allocations count
+    argv = ["table", "--n", "16", "--op", "divisor", "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # basis_list caches the n = 16 basis once
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 500_000
+
+
 def _golden_argvs():
     for n in range(2, 9):
         yield ["basis", "--n", str(n)]
@@ -429,16 +461,7 @@ _PARSER = [
 ]
 
 
-def test_parser_options_are_pinned(monkeypatch):
-    # the usage lines wrap at the terminal width argparse reads from COLUMNS
-    monkeypatch.setenv("COLUMNS", "80")
-    parser = build_parser()
-    assert parser.format_usage() == (
-        "usage: qkig [-h]\n"
-        "            "
-        "{basis,mul-divisor,mul-seidel,product-special,classify,gamma,"
-        "richardson-expand,verify,table}\n"
-        "            ...\n")
+def _subparser_rows(parser):
     [sub] = [a for a in parser._actions
              if isinstance(a, argparse._SubParsersAction)]
     assert (sub.dest, sub.required) == ("command", True)
@@ -451,8 +474,27 @@ def test_parser_options_are_pinned(monkeypatch):
                     [(a.option_strings, a.dest, a.required, a.default,
                       a.choices, getattr(a.type, "__name__", None), a.help,
                       type(a).__name__) for a in p._actions]))
-    assert list(sub.choices) == [row[0] for row in _PARSER]
-    assert got == _PARSER
+    assert list(sub.choices) == [row[0] for row in got]
+    return got
+
+
+def test_parser_options_are_pinned(monkeypatch):
+    # the usage lines wrap at the terminal width argparse reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    assert parser.format_usage() == (
+        "usage: qkig [-h]\n"
+        "            "
+        "{basis,mul-divisor,mul-seidel,product-special,classify,gamma,"
+        "richardson-expand,verify,table}\n"
+        "            ...\n")
+    assert _subparser_rows(parser) == _PARSER
+    # main builds only the invoked command's parser; argparse's top-level
+    # errors still print the usage line that lists every command
+    for row in _PARSER:
+        one = build_parser(row[0])
+        assert _subparser_rows(one) == [row]
+        assert one.format_usage() == parser.format_usage()
 
 
 def _surface_argvs():
@@ -525,13 +567,10 @@ def _surface_argvs():
 
 
 def test_cli_outputs_beyond_golden_are_pinned(capsys, monkeypatch):
-    # exit code, stdout and stderr, usage lines included; one parser serves
-    # every call (building it is most of a call's time), and
-    # test_parser_options_are_pinned pins how it is built
-    from qkig import cli
+    # exit code, stdout and stderr, usage lines included; each call runs
+    # through main's own build of its command's parser, whose top-level
+    # usage line test_parser_options_are_pinned pins too
     monkeypatch.setenv("COLUMNS", "80")
-    parser = build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     digest = hashlib.sha256()
     codes = set()
     for argv in _surface_argvs():
