@@ -323,6 +323,41 @@ def test_golden_cli_outputs(capsys):
         "42aa56b64d342b6fb6c2c8066ff1aac73cfb6bb1a39fe6189994e0716ed4ef95")
 
 
+def _special_argvs():
+    from qkig.pairs import _c1, _c2
+    for n in range(2, 13):
+        for p in range(1, 2 * n):
+            argv = ["richardson-expand", "--n", str(n), "--p", str(p)]
+            yield argv
+            yield argv + ["--json"]
+    for n in range(2, 9):
+        basis = basis_list(n)
+        for u in basis:
+            for v in basis:
+                if _c1(n, u, v) or _c2(n, u, v):
+                    argv = ["product-special", "--n", str(n),
+                            "--u", f"{u[0]},{u[1]}", "--v", f"{v[0]},{v[1]}"]
+                    yield argv
+                    yield argv + ["--json"]
+    # pairs in neither family exit 3
+    for n, u, v in ((2, "1,2", "1,2"), (5, "3,10", "6,10"),
+                    (8, "1,3", "14,16"), (8, "15,16", "15,16")):
+        yield ["product-special", "--n", str(n), "--u", u, "--v", v]
+
+
+def test_golden_richardson_and_special_outputs(capsys):
+    # the kernel behind richardson-expand and product-special, past n = 5
+    digest = hashlib.sha256()
+    codes = []
+    for argv in _special_argvs():
+        code, out, _ = run(capsys, argv)
+        codes.append(code)
+        digest.update(repr((argv, code, out)).encode())
+    assert (len(codes), codes.count(0), codes.count(3)) == (752, 748, 4)
+    assert digest.hexdigest() == (
+        "3e5678a4ecf7d5192b6a9d90e50afadb83e8f135212a63ecb466f313c02549f6")
+
+
 def _seeded_word(rng):
     tokens = []
     for _ in range(rng.randint(1, 20)):
