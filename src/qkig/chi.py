@@ -42,6 +42,14 @@ def _inverse_rows(n):
                  for row in ideal_to_schubert(n)[2])
 
 
+@lru_cache(maxsize=None)
+def _opposites(n):
+    """The opposite pair (2n+1-b, 2n+1-a) of each basis pair (a, b), in basis
+    order: the chi table entry that weights the ideal-sheaf class at (a, b)."""
+    top = 2 * n + 1
+    return tuple((top - b, top - a) for a, b in basis_list(n))
+
+
 def invert_lower_unitriangular(z):
     """Exact integer inverse of a lower unitriangular integer matrix."""
     size = len(z)
@@ -104,21 +112,19 @@ def _check_p(n, p):
         raise ValueError(f"p must lie in [1, n], got {p!r}")
 
 
-def _reconstruct(n, chi_of_opposite_pair):
+def _reconstruct(n, chis):
     """Schubert expansion of the class with the given chi table.
 
-    The table is indexed by the pair of the opposite variety being
-    intersected; the ideal-sheaf class it weights sits at the dual pair
-    (the Schubert variety through the same torus-fixed plane), so the
-    callback receives trusted pairs.  The expansion coefficients are the
-    row vector chi^T M, accumulated over the nonzero entries of chi and the
-    per-n sparse rows of M (``_inverse_rows``) only.
+    ``chis`` lists the chi values in basis order: entry i is chi against
+    the opposite variety ``_opposites(n)[i]``, which weights the
+    ideal-sheaf class at the dual pair basis[i] (the Schubert variety
+    through the same torus-fixed plane).  The expansion coefficients are
+    the row vector chi^T M, accumulated over the nonzero entries of chi and
+    the per-n sparse rows of M (``_inverse_rows``) only.
     """
     basis, _, _ = ideal_to_schubert(n)
-    top = 2 * n + 1
     acc = [0] * len(basis)
-    for (a, b), row in zip(basis, _inverse_rows(n)):
-        c = chi_of_opposite_pair((top - b, top - a))
+    for c, row in zip(chis, _inverse_rows(n)):
         if c:
             for j, mij in row:
                 acc[j] += c * mij
@@ -129,10 +135,10 @@ def _reconstruct(n, chi_of_opposite_pair):
 def reconstruct_xuv(n, p):
     """Re-derive the special Richardson expansion from its chi table."""
     _check_p(n, p)
-    return _reconstruct(n, lambda r: _chi_xuv(n, p, r))
+    return _reconstruct(n, [_chi_xuv(n, p, r) for r in _opposites(n)])
 
 
 def reconstruct_classical_chevalley(n, v):
     """Re-derive the classical divisor product on O_v from its chi table."""
     v = require_valid(n, v)
-    return _reconstruct(n, lambda r: _chi_chevalley(n, v, r))
+    return _reconstruct(n, [_chi_chevalley(n, v, r) for r in _opposites(n)])

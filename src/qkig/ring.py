@@ -10,6 +10,8 @@ rejected rather than approximated.
 Keys are validated once, by the public ``RingElement`` constructor.  The
 kernels map a trusted pair to (shift, pair, coeff) terms, Seidel's to its
 image key (shift, pair), rewriting only non-basis indices via ``_normalize``.
+``_normalize`` returns a plain (shift, pair, antidiagonal) tuple, which
+``normalize_extended`` wraps in a ``NormalizedTerm``.
 A single operator memoizes pair images in a dict per call and keeps none.
 ``apply_word`` folds on {code: coeff} dicts, code = d * N + index(p) for
 q^d * O_p and N = 2n(n - 1), over one ``_Store`` per n: a divisor image is
@@ -26,12 +28,10 @@ from .pairs import (
     _c1,
     _c2,
     _check_n,
-    _dim_schubert,
     basis_list,
     dim_space,
     divisor_pair,
     fano_index,
-    is_valid_pair,
     require_valid,
     unit_pair,
 )
@@ -64,26 +64,26 @@ def normalize_extended(n, a, b):
         raise InvalidPairError(f"indices must be integers, got ({a!r},{b!r})")
     if a >= b:
         raise InvalidPairError(f"extended index needs a < b, got ({a},{b})")
-    return _normalize(n, a, b)
+    return NormalizedTerm(*_normalize(n, a, b))
 
 
 def _normalize(n, a, b):
-    """normalize_extended for a trusted n and a < b."""
+    """normalize_extended for a trusted n and a < b, as a plain tuple."""
     period = 2 * n
     shift = 0
     while True:
         if (a + b) % period == 1 % period:
-            return NormalizedTerm(shift, None, antidiagonal=True)
+            return shift, None, True
         if 1 <= a < b <= period and a + b != period + 1:
-            return NormalizedTerm(shift, (a, b))
+            return shift, (a, b), False
         if a <= 0:
             a, b = b, a + period
             shift += 1
             if a >= b:
-                return NormalizedTerm(shift, None)
+                return shift, None, False
             continue
         # a >= 1 with b > 2n: outside the quasi-periodic range
-        return NormalizedTerm(shift, None)
+        return shift, None, False
 
 
 def _checked_shift(k):
@@ -272,23 +272,14 @@ def _chevalley_raw_cases(n, q1, q2, quantum):
             (-2, (q1 - 2, q2 - 1)), (-2, (q1 - 1, q2 - 2)), (1, (q1 - 2, q2 - 2))]
 
 
-def _basis_terms(n, terms):
-    """Sum the (coeff, pair) terms whose pair is a basis pair, at q-power 0."""
-    out = {}
-    for coeff, (a, b) in terms:
-        if is_valid_pair(n, a, b):
-            key = (0, (a, b))
-            out[key] = out.get(key, 0) + coeff
-    return out
-
-
 # Per-pair kernels: a valid pair in, (shift, pair, coeff) terms out, or
 # Seidel's image key (shift, pair).  Each call of a single operator memoizes
 # them in a dict of its own and keeps none; apply_word codes them into _STORES.
 def _classical_chevalley_pair(n, pair):
     # the raw indices of one pair are distinct: no two terms share a key
+    top = 2 * n
     return [(0, (a, b), c) for c, (a, b) in _chevalley_raw_cases(
-        n, *pair, quantum=False) if is_valid_pair(n, a, b)]
+        n, *pair, quantum=False) if 1 <= a < b <= top and a + b != top + 1]
 
 
 def _quantum_chevalley_pair(n, pair):
@@ -307,10 +298,10 @@ def _quantum_chevalley_pair(n, pair):
             out.append((0, (a, b), coeff))
             continue
         assert a >= 0, (n, pair, (a, b))
-        nt = _normalize(n, a, b)
-        assert not nt.antidiagonal, (n, pair, (a, b))
-        if nt.pair is not None:
-            out.append((nt.shift, nt.pair, coeff))
+        shift, image, antidiagonal = _normalize(n, a, b)
+        assert not antidiagonal, (n, pair, (a, b))
+        if image is not None:
+            out.append((shift, image, coeff))
     return out
 
 
@@ -318,9 +309,9 @@ def _seidel_pair(n, pair):
     a, b = pair
     if a - n >= 1:
         return 0, (a - n, b - n)
-    nt = _normalize(n, a - n, b - n)
-    assert nt.pair is not None and not nt.antidiagonal, (n, pair)
-    return nt.shift, nt.pair
+    shift, image, antidiagonal = _normalize(n, a - n, b - n)
+    assert image is not None and not antidiagonal, (n, pair)
+    return shift, image
 
 
 def _apply_termwise(pair_op, n, element):
@@ -402,14 +393,20 @@ def richardson_special_expand(n, p):
     _check_n(n)
     if type(p) is not int or not 1 <= p <= 2 * n - 1:
         raise ValueError(f"p must lie in [1, 2n-1], got {p!r}")
+    top = 2 * n
     if p > n:
-        p = 2 * n - p
-    # at p = n, (p, 2n - p) is not a basis pair and _basis_terms drops it
-    terms = [(1, (p, 2 * n - p)), (-1 if p == n else -2, (p - 1, 2 * n - p))]
-    terms += [(2, (k, 2 * n - k)) for k in range(1, p)]
+        p = top - p
+    # trusted keys, no two equal: (p, 2n - p) is a basis pair only for p < n
+    # and (p - 1, 2n - p) only for p > 1; the others always are
+    out = {(0, (p, top - p)): 1} if p < n else {}
+    if p > 1:
+        out[(0, (p - 1, top - p))] = -1 if p == n else -2
+    for k in range(1, p):
+        out[(0, (k, top - k))] = 2
     for k in range(1, p - 1):
-        terms += [(-3, (k, 2 * n - 1 - k)), (1, (k, 2 * n - 2 - k))]
-    return RingElement._from_valid(n, _basis_terms(n, terms))
+        out[(0, (k, top - 1 - k))] = -3
+        out[(0, (k, top - 2 - k))] = 1
+    return RingElement._from_valid(n, out)
 
 
 def product_C1(n, u, v):
@@ -478,14 +475,17 @@ def sign_check(element, cu, cv):
     """
     n = element.n
     r = fano_index(n)
-    top = dim_space(n)
-    violations = []
-    for (d, pair), coeff in element.sorted_terms():
-        cw = top - _dim_schubert(n, *pair)  # the element's keys are valid
-        parity = (cu + cv + cw + d * r) % 2
-        if (-1) ** parity * coeff < 0:
-            violations.append({"q": d, "pair": pair, "coeff": coeff,
-                               "parity": parity})
+    # cu + cv + cw = base - s + [s > 2n + 1] for the valid pair of sum s
+    base, above = cu + cv + dim_space(n) + 3, 2 * n + 1
+    bad = []
+    for (d, (a, b)), coeff in element._terms.items():
+        s = a + b
+        parity = (base - s + (s > above) + d * r) % 2
+        if coeff > 0 if parity else coeff < 0:
+            bad.append((d, s, a, b, coeff, parity))
+    bad.sort()  # the sorted_terms order: (d, a + b, a) fixes b
+    violations = [{"q": d, "pair": (a, b), "coeff": c, "parity": parity}
+                  for d, _, a, b, c, parity in bad]
     return (not violations, violations)
 
 

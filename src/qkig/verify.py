@@ -27,7 +27,7 @@ def _report(name, params, checks, failures):
 def _images(n):
     """(v, O_v, D*O_v, S*O_v) for every basis pair v."""
     for v in basis_list(n):
-        e = ring.RingElement.basis(n, v)
+        e = ring.RingElement._from_valid(n, {(0, v): 1})
         yield v, e, ring.quantum_chevalley(n, e), ring.seidel(n, e)
 
 
@@ -132,7 +132,9 @@ def run_interval(n_max):
                              ("euler", euler)):
                 if not ok:
                     failures.append({"n": n, "u": u, "v": v, "what": what})
-        # the prediction sweep, one pass per symmetric interval pair
+        # the prediction sweep, one pass per symmetric interval pair; it calls
+        # _q_support again on the product pairs: keeping their supports would
+        # cost a dict lookup per swept pair, more than those calls
         basis = basis_list(n)
         for i, u in enumerate(basis):
             for v in basis[i:]:

@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 from qkig.cli import EXIT_BROKEN_PIPE, build_parser, main
-from qkig.pairs import basis_list, divisor_pair, seidel_pair
+from qkig.pairs import _c1, _c2, basis_list, divisor_pair, seidel_pair
 from qkig.ring import RingElement, apply_word, quantum_chevalley, seidel
 
 
@@ -324,7 +324,6 @@ def test_golden_cli_outputs(capsys):
 
 
 def _special_argvs():
-    from qkig.pairs import _c1, _c2
     for n in range(2, 13):
         for p in range(1, 2 * n):
             argv = ["richardson-expand", "--n", str(n), "--p", str(p)]

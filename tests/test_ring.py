@@ -11,7 +11,11 @@ from qkig.pairs import (
     InvalidPairError,
     basis_list,
     codim_schubert,
+    dim_schubert,
+    dim_space,
     divisor_pair,
+    fano_index,
+    is_valid_pair,
     unit_pair,
 )
 from qkig.ring import (
@@ -40,6 +44,8 @@ def O(n, pair, d=0, coeff=1):
 
 def test_normalize_examples():
     assert normalize_extended(3, 0, 4) == NormalizedTerm(1, (4, 6))
+    # the public form keeps its named fields over the kernel's plain tuple
+    assert type(normalize_extended(3, 0, 4)) is NormalizedTerm
     assert normalize_extended(3, -2, 0) == NormalizedTerm(2, (4, 6))
     out = normalize_extended(3, 1, 6)
     assert out.pair is None and out.antidiagonal
@@ -134,6 +140,29 @@ def test_richardson_special_expand():
             richardson_special_expand(3, bad)
 
 
+def _richardson_reference(n, p):
+    # the list-and-filter construction: sum the terms on basis pairs
+    if p > n:
+        p = 2 * n - p
+    terms = [(1, (p, 2 * n - p)), (-1 if p == n else -2, (p - 1, 2 * n - p))]
+    terms += [(2, (k, 2 * n - k)) for k in range(1, p)]
+    for k in range(1, p - 1):
+        terms += [(-3, (k, 2 * n - 1 - k)), (1, (k, 2 * n - 2 - k))]
+    out = {}
+    for coeff, (a, b) in terms:
+        if is_valid_pair(n, a, b):
+            key = (0, (a, b))
+            out[key] = out.get(key, 0) + coeff
+    return out
+
+
+def test_richardson_special_expand_matches_the_filtered_list():
+    for n in range(2, 17):
+        for p in range(1, 2 * n):
+            assert richardson_special_expand(n, p) == \
+                E(n, _richardson_reference(n, p)), (n, p)
+
+
 def test_product_c1():
     got = product_C1(3, (2, 6), (4, 6))
     assert got == E(3, {(0, (2, 4)): 1, (0, (1, 5)): 2, (0, (1, 4)): -2,
@@ -190,6 +219,32 @@ def test_sign_check_pass_and_fail():
     ok, bad = sign_check(flipped, cu, cv)
     assert not ok
     assert bad == [{"q": 0, "pair": (1, 4), "coeff": 2, "parity": 1}]
+
+
+def _sign_check_reference(element, cu, cv):
+    # the sorted loop: every term in (d, a + b, a) order, one record per
+    # violation
+    n = element.n
+    r, top = fano_index(n), dim_space(n)
+    violations = []
+    for (d, pair), coeff in element.sorted_terms():
+        parity = (cu + cv + top - dim_schubert(n, *pair) + d * r) % 2
+        if (-1) ** parity * coeff < 0:
+            violations.append({"q": d, "pair": pair, "coeff": coeff,
+                               "parity": parity})
+    return (not violations, violations)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(2, 10), st.data())
+def test_sign_check_matches_the_sorted_loop(n, data):
+    keys = st.tuples(st.integers(0, 3), st.sampled_from(basis_list(n)))
+    terms = data.draw(st.dictionaries(
+        keys, st.integers(-3, 3).filter(bool), max_size=16))
+    cu, cv = data.draw(st.integers(0, 20)), data.draw(st.integers(0, 20))
+    element = E(n, terms)
+    assert sign_check(element, cu, cv) == \
+        _sign_check_reference(element, cu, cv)
 
 
 def test_q_support_and_zero():
