@@ -53,9 +53,12 @@ def _opposites(n):
 def invert_lower_unitriangular(z):
     """Exact integer inverse of a lower unitriangular integer matrix."""
     size = len(z)
+    for i, row in enumerate(z):
+        if len(row) != size or row[i] != 1 or any(row[i + 1:]):
+            raise ValueError("matrix must be square and lower unitriangular;"
+                             f" row {i} is {row!r}")
     m = [[0] * size for _ in range(size)]
     for i in range(size):
-        assert z[i][i] == 1, "matrix must be unitriangular"
         row = [0] * size
         row[i] = 1
         for j in range(i):

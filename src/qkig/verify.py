@@ -1,9 +1,16 @@
 """Verification suites: the ring identities and oracle equivalences.
 
-Each suite sweeps an exhaustive or seeded family of checks and returns a
-JSON-ready report {"suite", "params", "checks", "failures"}.  The command
-line exposes them under ``verify``; the acceptance tests assert on them.
+Each suite is a sweep over one n: it returns its number of checks and
+appends a record to the report's failures for each check that fails.
+``run_suite`` owns the only loop over n.  It caps n per suite and returns
+JSON-ready reports {"suite", "params", "checks", "failures"}.  An exception
+raised while sweeping one n adds the failure {"n", "what": "exception",
+"error"} in place of that n's check count, and the loop goes on to the next
+n; only the oracle's ``SamplingError`` propagates.  The command line exposes
+the suites under ``verify``; the acceptance tests assert on them.
 """
+
+import sys
 
 from . import neighborhoods as nb, ring
 from .pairs import (
@@ -17,11 +24,6 @@ from .pairs import (
     richardson_nonempty,
     seidel_pair,
 )
-
-
-def _report(name, params, checks, failures):
-    return {"suite": name, "params": params, "checks": checks,
-            "failures": failures}
 
 
 def _images(n):
@@ -51,54 +53,46 @@ def _products(n):
                 yield u, v, product(n, u, v)
 
 
-def run_chevalley(n_max):
+def _chevalley(n, trials, seed, report):
     """Quantum vs classical at q = 0, and the geometric q-part, exhaustively."""
-    checks = 0
-    failures = []
-    for n in range(2, n_max + 1):
-        for v, e, quantum, _ in _images(n):
-            checks += 2
-            if quantum.at_q0() != ring.classical_chevalley(n, e):
-                failures.append({"n": n, "v": v, "what": "q0_reduction"})
-            if quantum.q_part(1) != ring.chevalley_q_part_geometric(n, v):
-                failures.append({"n": n, "v": v, "what": "q1_geometric"})
-    return _report("chevalley", {"n_max": n_max}, checks, failures)
+    fail = report["failures"].append
+    for v, e, quantum, _ in _images(n):
+        if quantum.at_q0() != ring.classical_chevalley(n, e):
+            fail({"n": n, "v": v, "what": "q0_reduction"})
+        if quantum.q_part(1) != ring.chevalley_q_part_geometric(n, v):
+            fail({"n": n, "v": v, "what": "q1_geometric"})
+    return 2 * len(basis_list(n))
 
 
-def run_seidel(n_max):
+def _seidel(n, trials, seed, report):
     """Shift squares to q^2, commutes with the divisor, matches (d_min, image)."""
-    checks = 0
-    failures = []
-    for n in range(2, n_max + 1):
-        unit = ring.RingElement.unit(n)
-        if ring.seidel(n, unit) != ring.RingElement.basis(n, seidel_pair(n)):
-            failures.append({"n": n, "what": "unit_image"})
-        checks += 1
-        for v, e, de, se in _images(n):
-            checks += 3
-            if ring.seidel(n, se) != e.times_q(2):
-                failures.append({"n": n, "v": v, "what": "square"})
-            if ring.seidel(n, de) != ring.quantum_chevalley(n, se):
-                failures.append({"n": n, "v": v, "what": "commutation"})
-            d_min, image = nb.seidel_neighborhood(n, v)
-            if se != ring.RingElement.basis(n, image, d=d_min):
-                failures.append({"n": n, "v": v, "what": "neighborhood"})
-    return _report("seidel", {"n_max": n_max}, checks, failures)
+    fail = report["failures"].append
+    unit = ring.RingElement.unit(n)
+    if ring.seidel(n, unit) != ring.RingElement.basis(n, seidel_pair(n)):
+        fail({"n": n, "what": "unit_image"})
+    for v, e, de, se in _images(n):
+        if ring.seidel(n, se) != e.times_q(2):
+            fail({"n": n, "v": v, "what": "square"})
+        if ring.seidel(n, de) != ring.quantum_chevalley(n, se):
+            fail({"n": n, "v": v, "what": "commutation"})
+        d_min, image = nb.seidel_neighborhood(n, v)
+        if se != ring.RingElement.basis(n, image, d=d_min):
+            fail({"n": n, "v": v, "what": "neighborhood"})
+    return 1 + 3 * len(basis_list(n))
 
 
-def run_signs(n_max):
+def _signs(n, trials, seed, report):
     """Codimension-alternating signs on every implemented product."""
+    top = dim_space(n)  # codimension = top - dimension, on basis pairs
     checks = 0
-    failures = []
-    for n in range(2, n_max + 1):
-        top = dim_space(n)  # codimension = top - dimension, on basis pairs
-        for u, v, prod in _products(n):
-            ok, bad = ring.sign_check(prod, top - _dim_schubert(n, *u),
-                                      top - _dim_schubert(n, *v))
-            checks += 1
-            if not ok:
-                failures.append({"n": n, "u": u, "v": v, "violations": bad})
-    return _report("signs", {"n_max": n_max}, checks, failures)
+    for u, v, prod in _products(n):
+        ok, bad = ring.sign_check(prod, top - _dim_schubert(n, *u),
+                                  top - _dim_schubert(n, *v))
+        checks += 1
+        if not ok:
+            report["failures"].append(
+                {"n": n, "u": u, "v": v, "violations": bad})
+    return checks
 
 
 def _is_interval(support):
@@ -114,137 +108,133 @@ def _euler(element):
     return {d: c for d, c in sums.items() if c}
 
 
-def run_interval(n_max):
+def _interval(n, trials, seed, report):
     """Degree bound, interval property, the predicted q-supports, and the
     Euler-characteristic rule chi(O_u * O_v) = q^d with d the least power
     of q predicted (Buch-Chung-Li-Mihalcea)."""
+    fail = report["failures"].append
     checks = 0
-    failures = []
-    for n in range(2, n_max + 1):
-        for u, v, prod in _products(n):
-            sup, predicted = prod.q_support(), nb._q_support(n, u, v)
-            checks += 4
-            # an empty prediction (its assert stripped under -O) fails too
-            euler = bool(predicted) and _euler(prod) == {min(predicted): 1}
-            for what, ok in (("bound", sup <= {0, 1, 2}),
-                             ("interval", _is_interval(sup)),
-                             ("support_agreement", sup == predicted),
-                             ("euler", euler)):
-                if not ok:
-                    failures.append({"n": n, "u": u, "v": v, "what": what})
-        # the prediction sweep, one pass per symmetric interval pair; it calls
-        # _q_support again on the product pairs: keeping their supports would
-        # cost a dict lookup per swept pair, more than those calls
-        basis = basis_list(n)
-        for i, u in enumerate(basis):
-            for v in basis[i:]:
-                diagonal = v is u  # basis[i:] starts at u itself
-                sup_uv = nb._q_support(n, u, v)
-                sup_vu = sup_uv if diagonal else nb._q_support(n, v, u)
-                checks += 2 if diagonal else 4
-                if sup_uv == sup_vu and sup_uv in nb._INTERVALS:
-                    continue
-                for a, b, sup in ((u, v, sup_uv),
-                                  (v, u, sup_vu))[:1 if diagonal else 2]:
-                    if not _is_interval(sup):
-                        failures.append({"n": n, "u": a, "v": b,
-                                         "what": "predicted_interval"})
-                    if sup_uv != sup_vu:
-                        failures.append({"n": n, "u": a, "v": b,
-                                         "what": "symmetry"})
-    return _report("interval", {"n_max": n_max}, checks, failures)
+    for u, v, prod in _products(n):
+        sup, predicted = prod.q_support(), nb._q_support(n, u, v)
+        checks += 4
+        # an empty prediction (its assert stripped under -O) fails too
+        euler = bool(predicted) and _euler(prod) == {min(predicted): 1}
+        for what, ok in (("bound", sup <= {0, 1, 2}),
+                         ("interval", _is_interval(sup)),
+                         ("support_agreement", sup == predicted),
+                         ("euler", euler)):
+            if not ok:
+                fail({"n": n, "u": u, "v": v, "what": what})
+    # the prediction sweep, one pass per symmetric interval pair; it calls
+    # _q_support again on the product pairs: keeping their supports would
+    # cost a dict lookup per swept pair, more than those calls
+    basis = basis_list(n)
+    for i, u in enumerate(basis):
+        for v in basis[i:]:
+            diagonal = v is u  # basis[i:] starts at u itself
+            sup_uv = nb._q_support(n, u, v)
+            sup_vu = sup_uv if diagonal else nb._q_support(n, v, u)
+            checks += 2 if diagonal else 4
+            if sup_uv == sup_vu and sup_uv in nb._INTERVALS:
+                continue
+            for a, b, sup in ((u, v, sup_uv),
+                              (v, u, sup_vu))[:1 if diagonal else 2]:
+                if not _is_interval(sup):
+                    fail({"n": n, "u": a, "v": b,
+                          "what": "predicted_interval"})
+                if sup_uv != sup_vu:
+                    fail({"n": n, "u": a, "v": b, "what": "symmetry"})
+    return checks
 
 
-def run_brion(n_max):
+def _brion(n, trials, seed, report):
     """Euler-characteristic reconstructions equal the closed formulas."""
     from . import chi
-    checks = 0
-    failures = []
-    for n in range(2, min(n_max, 8) + 1):
-        for p in range(1, n + 1):
-            checks += 1
-            if chi.reconstruct_xuv(n, p) != ring.richardson_special_expand(n, p):
-                failures.append({"n": n, "p": p, "what": "xuv"})
-        for v in basis_list(n):
-            checks += 1
-            e = ring.RingElement.basis(n, v)
-            if chi.reconstruct_classical_chevalley(n, v) != \
-                    ring.classical_chevalley(n, e):
-                failures.append({"n": n, "v": v, "what": "chevalley"})
-    return _report("brion", {"n_max": min(n_max, 8)}, checks, failures)
+    fail = report["failures"].append
+    for p in range(1, n + 1):
+        if chi.reconstruct_xuv(n, p) != ring.richardson_special_expand(n, p):
+            fail({"n": n, "p": p, "what": "xuv"})
+    basis = basis_list(n)
+    for v in basis:
+        if chi.reconstruct_classical_chevalley(n, v) != \
+                ring.classical_chevalley(n, ring.RingElement.basis(n, v)):
+            fail({"n": n, "v": v, "what": "chevalley"})
+    return n + len(basis)
 
 
-def run_geometry(n_max, trials, seed):
+def _geometry(n, trials, seed, report):
     """Witness constructions against the span-dimension criteria."""
     from . import oracle
-    checks = 0
-    failures = []
-    outcomes = {}
-    for n in range(2, min(n_max, 4) + 1):
-        rep = oracle.membership_suite(n, trials, seed)
-        checks += rep["checks"]
-        failures.extend(rep["failures"])
-        outcomes[n] = rep["outcomes"]
-    out = _report("geometry",
-                  {"n_max": min(n_max, 4), "trials": trials, "seed": seed},
-                  checks, failures)
-    out["outcomes"] = outcomes
-    return out
+    rep = oracle.membership_suite(n, trials, seed)
+    report["failures"].extend(rep["failures"])
+    report.setdefault("outcomes", {})[n] = rep["outcomes"]
+    return rep["checks"]
 
 
-def run_bruhat(n_max, seed):
+def _bruhat(n, trials, seed, report):
     """Geometric fixed-point order and cell points vs the product order;
-    Richardson witnesses."""
+    Richardson and line witnesses up to n = 4."""
     from . import oracle
-    checks = 0
-    failures = []
-    for n in range(2, min(n_max, 5) + 1):
-        basis = basis_list(n)
-        for u in basis:
+    fail = report["failures"].append
+    basis = basis_list(n)
+    for u in basis:
+        for v in basis:
+            if oracle.bruhat_oracle(n, u, v) != bruhat_leq(n, u, v):
+                fail({"n": n, "u": u, "v": v, "what": "bruhat"})
+        # a point of the cell of u lies in X_v (X^v) exactly when u <= v
+        for orientation in ("standard", "opposite"):
+            point = oracle.random_point_in_cell(n, u, orientation, seed)
+            opposite = orientation == "opposite"
             for v in basis:
-                checks += 1
-                if oracle.bruhat_oracle(n, u, v) != bruhat_leq(n, u, v):
-                    failures.append({"n": n, "u": u, "v": v, "what": "bruhat"})
-            # a point of the cell of u lies in X_v (X^v) exactly when u <= v
-            for orientation in ("standard", "opposite"):
-                point = oracle.random_point_in_cell(n, u, orientation, seed)
-                opposite = orientation == "opposite"
-                for v in basis:
-                    checks += 1
-                    if oracle.in_schubert(n, point, v, opposite) != \
-                            bruhat_leq(n, u, v):
-                        failures.append({"n": n, "u": u, "v": v,
-                                         "orientation": orientation,
-                                         "what": "cell"})
-    for n in range(2, min(n_max, 4) + 1):
-        basis = basis_list(n)
-        for u in basis:
-            for v in basis:
-                checks += 2
-                witness = oracle.richardson_witness(n, u, v, seed=seed)
-                if (witness is not None) != richardson_nonempty(n, u, v):
-                    failures.append({"n": n, "u": u, "v": v,
-                                     "what": "richardson"})
-                line = oracle.line_witness(n, u, v, seed=seed)
-                expected = nb.gamma_pair(n, u, v, 1).kind != "empty"
-                if (line is not None) != expected:
-                    failures.append({"n": n, "u": u, "v": v, "what": "line"})
-    return _report("bruhat", {"n_max": min(n_max, 5), "seed": seed},
-                   checks, failures)
+                if oracle.in_schubert(n, point, v, opposite) != \
+                        bruhat_leq(n, u, v):
+                    fail({"n": n, "u": u, "v": v, "orientation": orientation,
+                          "what": "cell"})
+    if n > 4:
+        return 3 * len(basis) ** 2
+    for u in basis:
+        for v in basis:
+            witness = oracle.richardson_witness(n, u, v, seed=seed)
+            if (witness is not None) != richardson_nonempty(n, u, v):
+                fail({"n": n, "u": u, "v": v, "what": "richardson"})
+            line = oracle.line_witness(n, u, v, seed=seed)
+            expected = nb.gamma_pair(n, u, v, 1).kind != "empty"
+            if (line is not None) != expected:
+                fail({"n": n, "u": u, "v": v, "what": "line"})
+    return 5 * len(basis) ** 2
 
 
+# name: (sweep over one n, cap on n or None, the params its report lists)
 SUITES = {
-    "chevalley": lambda n_max, trials, seed: run_chevalley(n_max),
-    "seidel": lambda n_max, trials, seed: run_seidel(n_max),
-    "signs": lambda n_max, trials, seed: run_signs(n_max),
-    "interval": lambda n_max, trials, seed: run_interval(n_max),
-    "brion": lambda n_max, trials, seed: run_brion(n_max),
-    "geometry": lambda n_max, trials, seed: run_geometry(n_max, trials, seed),
-    "bruhat": lambda n_max, trials, seed: run_bruhat(n_max, seed),
+    "chevalley": (_chevalley, None, ("n_max",)),
+    "seidel": (_seidel, None, ("n_max",)),
+    "signs": (_signs, None, ("n_max",)),
+    "interval": (_interval, None, ("n_max",)),
+    "brion": (_brion, 8, ("n_max",)),
+    "geometry": (_geometry, 4, ("n_max", "trials", "seed")),
+    "bruhat": (_bruhat, 5, ("n_max", "seed")),
 }
 
 
 def run_suite(name, n_max, trials=100, seed=0):
-    if name == "all":
-        return [SUITES[k](n_max, trials, seed) for k in SUITES]
-    return [SUITES[name](n_max, trials, seed)]
+    """The reports of suite ``name``, or of every suite for "all", each over
+    n = 2 up to n_max or the suite's cap."""
+    reports = []
+    for key in (SUITES if name == "all" else [name]):
+        sweep, cap, params = SUITES[key]
+        given = {"n_max": n_max if cap is None else min(n_max, cap),
+                 "trials": trials, "seed": seed}
+        report = {"suite": key, "params": {p: given[p] for p in params},
+                  "checks": 0, "failures": []}
+        for n in range(2, given["n_max"] + 1):
+            try:
+                report["checks"] += sweep(n, trials, seed, report)
+            except Exception as exc:  # a kernel error fails this n alone
+                oracle = sys.modules.get(f"{__package__}.oracle")
+                if oracle and isinstance(exc, oracle.SamplingError):
+                    raise  # a sampler out of retries is exit 4, not a finding
+                report["failures"].append({
+                    "n": n, "what": "exception",
+                    "error": f"{type(exc).__name__}: {exc}"})
+        reports.append(report)
+    return reports

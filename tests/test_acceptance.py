@@ -40,7 +40,7 @@ def _passed(num, text):
 
 
 def test_criterion_1_chevalley_consistency():
-    rep = verify.run_chevalley(N_MAX_RING)
+    rep = verify.run_suite("chevalley", N_MAX_RING)[0]
     assert rep["failures"] == []
     _passed(1, f"quantum = classical at q = 0 and q^1 part is geometric, "
                f"n <= {N_MAX_RING} ({rep['checks']} checks)")
@@ -108,7 +108,7 @@ def test_criterion_2_explicit_divisor_products():
 
 
 def test_criterion_3_seidel_algebra():
-    rep = verify.run_seidel(N_MAX_RING)
+    rep = verify.run_suite("seidel", N_MAX_RING)[0]
     assert rep["failures"] == []
     # all three minimal-degree regimes occur at every n
     from qkig.neighborhoods import seidel_neighborhood
@@ -121,14 +121,14 @@ def test_criterion_3_seidel_algebra():
 
 
 def test_criterion_4_positivity_signs():
-    rep = verify.run_signs(N_MAX_RING)
+    rep = verify.run_suite("signs", N_MAX_RING)[0]
     assert rep["failures"] == []
     _passed(4, f"alternating signs on every closed-form product, "
                f"n <= {N_MAX_RING} ({rep['checks']} checks)")
 
 
 def test_criterion_5_degree_bound_and_intervals():
-    rep = verify.run_interval(N_MAX_RING)
+    rep = verify.run_suite("interval", N_MAX_RING)[0]
     assert rep["failures"] == []
     _passed(5, f"q-supports inside [0, 2], intervals, predicted supports "
                f"agree and chi(O_u * O_v) = q^d, n <= {N_MAX_RING} "
@@ -136,14 +136,14 @@ def test_criterion_5_degree_bound_and_intervals():
 
 
 def test_criterion_6_euler_characteristic_reconstruction():
-    rep = verify.run_brion(N_MAX_BRION)
+    rep = verify.run_suite("brion", N_MAX_BRION)[0]
     assert rep["failures"] == []
     _passed(6, f"chi-table reconstructions equal the closed formulas, "
                f"n <= {N_MAX_BRION} ({rep['checks']} checks)")
 
 
 def test_criterion_7_geometry_oracle():
-    rep = verify.run_geometry(4, GEOMETRY_TRIALS, SEED)
+    rep = verify.run_suite("geometry", 4, GEOMETRY_TRIALS, SEED)[0]
     assert rep["failures"] == []
     # both outcomes are exercised wherever the ambient dimension admits both;
     # at n = 2 every triple of planes spans at most the whole 4-space, so the
@@ -153,7 +153,7 @@ def test_criterion_7_geometry_oracle():
             assert rep["outcomes"][n][deg]["true"] > 0
             assert rep["outcomes"][n][deg]["false"] > 0
     assert rep["outcomes"][2]["deg2"]["false"] == 0
-    rep2 = verify.run_bruhat(5, SEED)
+    rep2 = verify.run_suite("bruhat", 5, seed=SEED)[0]
     assert rep2["failures"] == []
     _passed(7, f"witnesses match the span criteria ({rep['checks']} checks, "
                f"{GEOMETRY_TRIALS} trials per n); the fixed-point order and the "

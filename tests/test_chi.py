@@ -1,9 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qkig.chi import (
     chi_chevalley,
     chi_xuv,
     ideal_to_schubert,
+    invert_lower_unitriangular,
     reconstruct_classical_chevalley,
     reconstruct_xuv,
 )
@@ -55,6 +62,36 @@ def test_inverse_is_unitriangular_integer(n):
         assert row[i] == 1
         assert all(isinstance(x, int) for x in row)
         assert all(x == 0 for x in row[i + 1:])
+
+
+def test_ideal_to_schubert_is_pinned():
+    tables = repr([ideal_to_schubert(n) for n in range(2, 9)])
+    assert hashlib.sha256(tables.encode()).hexdigest() == (
+        "fc2d97424486aba3d02553b1b45921803b243278ec99e5c903f2e0569a2b7154")
+
+
+# one matrix per defect: above the diagonal, on it, and three not square
+_NOT_UNITRIANGULAR = """
+from qkig.chi import invert_lower_unitriangular
+for z in ([[1, 5], [0, 1]], [[2]], [[1, 0]], [[1], [0, 1]],
+          [[1, 0], [0, 1], [0, 0]]):
+    try:
+        print(invert_lower_unitriangular(z))
+    except ValueError as exc:
+        print(str(exc).split(";")[0])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_inverse_rejects_what_is_not_lower_unitriangular(flags):
+    assert invert_lower_unitriangular([[1, 0], [3, 1]]) == [[1, 0], [-3, 1]]
+    # a raise, not an assert: it holds under python -O too
+    src = Path(__file__).parent.parent / "src"
+    out = subprocess.run([sys.executable, *flags, "-c", _NOT_UNITRIANGULAR],
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.splitlines() == \
+        ["matrix must be square and lower unitriangular"] * 5
 
 
 def test_chi_xuv_table():
@@ -131,7 +168,7 @@ def test_brion_checks_the_sparse_rows(monkeypatch):
     rows[0] = ((0, 2),)
     monkeypatch.setattr(qkig.chi, "_inverse_rows",
                         lambda n: tuple(rows) if n == 3 else real(n))
-    report = verify.run_brion(4)
+    report = verify.run_suite("brion", 4)[0]
     assert report["checks"] == 49
     assert report["failures"] and {f["n"] for f in report["failures"]} == {3}
 

@@ -25,6 +25,7 @@ from qkig.neighborhoods import (
 from qkig.pairs import (
     InvalidPairError,
     basis_list,
+    dim_schubert,
     dim_space,
     divisor_pair,
     richardson_dim,
@@ -44,6 +45,11 @@ def test_flag_index_sets():
     assert lower_flag(3, 2) == frozenset({1, 2})
     assert upper_flag(3, 2) == frozenset({5, 6})
     assert upper_flag(3, 0) == frozenset()
+    for flag in (lower_flag, upper_flag):
+        assert flag(3, 6) == frozenset(range(1, 7))
+        for p in (-1, 7):
+            with pytest.raises(ValueError, match=f"out of range: {p}"):
+                flag(3, p)
 
 
 def test_meets_subspace_normalization():
@@ -210,6 +216,13 @@ def test_dim_moduli():
         for u, v in itertools.product(basis_list(n), repeat=2):
             if richardson_nonempty(n, u, v):
                 assert dim_moduli(n, u, v, 0) == richardson_dim(n, u, v)
+    # past degree 2 only the general count applies: d(2n - 1) - (4n - 5)
+    # plus both dimensions
+    for n in range(2, 6):
+        for u, v in itertools.product(basis_list(n), repeat=2):
+            for d in (3, 4):
+                assert dim_moduli(n, u, v, d) == d * (2 * n - 1) - \
+                    (4 * n - 5) + dim_schubert(n, *u) + dim_schubert(n, *v)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -297,7 +310,7 @@ def test_sweeps_do_not_revalidate(monkeypatch):
     import qkig.neighborhoods
     from qkig import verify
     calls = _counting(monkeypatch, qkig.neighborhoods)
-    for report in (verify.run_interval(6), verify.run_signs(6)):
+    for report in (verify.run_suite(s, 6)[0] for s in ("interval", "signs")):
         assert report["checks"] > 0 and report["failures"] == []
     assert calls == []
 
@@ -315,7 +328,7 @@ def test_reconstruction_validates_once(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(qkig.chi, name, counted)
-    report = verify.run_brion(6)
+    report = verify.run_suite("brion", 6)[0]
     assert report["checks"] == len(reconstructions) > 0
     assert report["failures"] == []
     assert len(calls) <= len(reconstructions)

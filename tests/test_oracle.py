@@ -83,6 +83,9 @@ def test_linalg_basics():
     assert nullspace([[1, 2, 3]]) == [(2, -1, 0), (3, 0, -1)]
     assert intersect_rowspaces([[1, 0, 0], [0, 1, 0]],
                                [[0, 2, 2], [0, 0, 1]]) == [(0, 1, 0)]
+    for empty in ([], iter(())):
+        assert intersect_rowspaces(empty, [[1, 0, 0]]) == []
+        assert intersect_rowspaces([[1, 0, 0]], empty) == []
 
 
 @settings(max_examples=200, derandomize=True)
@@ -248,6 +251,8 @@ def test_random_point_in_cell():
         in_schubert(3, coordinate_plane(4, 1, 2), (1, 2))
     with pytest.raises(GeometryError, match="n = 2, not n = 3"):
         in_schubert(3, coordinate_plane(2, 1, 2), (1, 2), opposite=True)
+    with pytest.raises(ValueError, match="unknown orientation 'sideways'"):
+        random_point_in_cell(3, (2, 4), "sideways", seed=4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -267,7 +272,7 @@ def test_every_cell_is_sampleable(n):
 
 def test_bruhat_suite_checks_cell_points(monkeypatch):
     from qkig import oracle, verify
-    rep = verify.run_bruhat(3, seed=5)
+    rep = verify.run_suite("bruhat", 3, seed=5)[0]
     # per n: the fixed-point order, the cell points in both orientations,
     # and the Richardson and line witnesses, each over all N^2 pairs
     assert rep["failures"] == [] and rep["checks"] == 5 * (4 ** 2 + 12 ** 2)
@@ -276,7 +281,7 @@ def test_bruhat_suite_checks_cell_points(monkeypatch):
     monkeypatch.setattr(oracle, "random_point_in_cell",
                         lambda n, u, orientation, seed:
                         real(n, (1, 2), orientation, seed))
-    bad = verify.run_bruhat(3, seed=5)["failures"]
+    bad = verify.run_suite("bruhat", 3, seed=5)[0]["failures"]
     assert bad and {f["what"] for f in bad} == {"cell"}
     assert {f["orientation"] for f in bad} == {"standard", "opposite"}
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -61,6 +62,17 @@ def test_normalize_examples():
     for a, b in ((1.0, 2.0), (True, 2)):
         with pytest.raises(InvalidPairError, match="indices must be integers"):
             normalize_extended(3, a, b)
+
+
+def test_normalize_extended_is_pinned():
+    # every a < b in [-3n, 4n] at n = 2..6, with the shift of each zero term,
+    # which no kernel reads
+    out = [normalize_extended(n, a, b) for n in range(2, 7)
+           for a in range(-3 * n, 4 * n + 1) for b in range(a + 1, 4 * n + 1)]
+    assert len(out) == 2275
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "e8d9d8b37bb92d244b462de5d799652bffe48041fd7cc523c6f59b6ccc1020df")
+    assert normalize_extended(2, 1, 5) == NormalizedTerm(0, None, False)
 
 
 @settings(max_examples=300, derandomize=True)
@@ -310,6 +322,23 @@ def test_apply_word_matches_operator_fold(case):
     n, terms, word = case
     start = E(n, terms)
     assert apply_word(n, word, start) == _fold(n, word, start)
+
+
+def test_element_lookups_and_mixed_arguments():
+    e = O(3, (2, 4)) + O(3, (1, 3), d=1, coeff=-2)
+    assert e.coefficient(1, [1, 3]) == -2 and e.coefficient(0, (1, 3)) == 0
+    assert hash(e) == hash(O(3, (1, 3), d=1, coeff=-2) + O(3, (2, 4)))
+    assert len({e, -(-e), O(3, (2, 4))}) == 2
+    other = O(4, (2, 4))
+    for mixed in (lambda: e + other, lambda: e - other):
+        with pytest.raises(ValueError,
+                           match="mixed ambient parameters: 3 vs 4"):
+            mixed()
+    with pytest.raises(TypeError):
+        e * 1.5
+    for op in (quantum_chevalley, classical_chevalley, seidel):
+        with pytest.raises(ValueError, match="element has n=3, expected 4"):
+            op(4, e)
 
 
 def test_element_validation_and_canonical_form():
@@ -707,11 +736,11 @@ def test_sign_rule_and_expansions_do_not_revalidate(monkeypatch):
     assert sign_check(prod, cu, cv)[0] and len(prod.sorted_terms()) > 1
     assert richardson_special_expand(6, 4) and calls == []
     # what is left: one RingElement.basis per v and the public products
-    verify.run_signs(6)
+    verify.run_suite("signs", 6)
     assert len(calls) <= 310
     # one RingElement.basis and one chevalley_q_part_geometric per v
     calls.clear()
-    verify.run_chevalley(6)
+    verify.run_suite("chevalley", 6)
     assert len(calls) <= 280
 
 
@@ -747,7 +776,8 @@ def test_signs_and_interval_report_a_wrong_product(monkeypatch):
     planted = {(n, u, v) for n in range(2, 5)
                for u in basis_list(n) for v in basis_list(n)
                if condition_C2(n, u, v)}
-    signs, interval = verify.run_signs(4), verify.run_interval(4)
+    signs, interval = (verify.run_suite(suite, 4)[0]
+                       for suite in ("signs", "interval"))
     assert len(planted) == 10  # 0, 2 and 8 pairs at n = 2, 3, 4
     for report, key in ((signs, "violations"), (interval, "what")):
         assert {(f["n"], f["u"], f["v"]) for f in report["failures"]} == \
@@ -758,6 +788,6 @@ def test_signs_and_interval_report_a_wrong_product(monkeypatch):
     # is a failure rather than an error
     monkeypatch.setattr(qkig.neighborhoods, "_q_support",
                         lambda n, u, v: set())
-    failures = verify.run_interval(2)["failures"]
+    failures = verify.run_suite("interval", 2)[0]["failures"]
     assert {"n": 2, "u": divisor_pair(2), "v": (1, 2), "what": "euler"} in \
         failures
