@@ -479,6 +479,27 @@ def test_kernels_match_normalize_reference():
     assert traded == set(range(2, 17))
 
 
+def test_single_operators_are_pinned():
+    import random
+
+    # every basis pair at n = 6..16, and seeded elements that hold each of
+    # their pairs at q^0, q^1 and q^2
+    inputs = [O(n, p) for n in range(6, 17) for p in basis_list(n)]
+    rng = random.Random(5)
+    for n in range(2, 13):
+        for _ in range(4):
+            pairs = rng.sample(basis_list(n), 4)
+            inputs.append(E(n, {(d, p): rng.choice((-2, -1, 1, 3))
+                                for p in pairs for d in range(3)}))
+    digest = hashlib.sha256()
+    for e in inputs:
+        for op in (classical_chevalley, quantum_chevalley, seidel):
+            digest.update(repr(op(e.n, e).to_dict()).encode())
+    assert len(inputs) == 2640 + 44
+    assert digest.hexdigest() == (
+        "4df7f5871c2aa0c5221266f6e583e4c585eff77d61ebcfc17af7d5793f1f3c2d")
+
+
 def test_cancelled_terms_are_dropped():
     e = quantum_chevalley(4, O(4, (3, 7)))
     assert (e - e)._terms == {} and e.scale(0)._terms == {}
