@@ -8,17 +8,17 @@ or (C2) on the index pairs hold.  Products outside these families are
 rejected rather than approximated.
 
 Keys are validated once, by the public ``RingElement`` constructor.  The
-kernels map a trusted pair to (shift, pair, coeff) terms, Seidel's to its
-image key (shift, pair), rewriting only non-basis indices via ``_normalize``.
-``_normalize`` returns a plain (shift, pair, antidiagonal) tuple, which
-``normalize_extended`` wraps in a ``NormalizedTerm``.
-A single operator memoizes pair images in a dict per call and keeps none.
+three kernels map a trusted pair to a list of (shift, pair, coeff) terms, one
+term (shift, image, 1) for Seidel, rewriting only non-basis indices via
+``_normalize``.  It returns a plain (shift, pair, antidiagonal) tuple, which
+``normalize_extended`` wraps in a ``NormalizedTerm``.  The single operators
+run one fold, which calls a kernel per term and keeps nothing across calls.
 ``apply_word`` folds on {code: coeff} dicts, code = d * N + index(p) for
 q^d * O_p and N = 2n(n - 1), over one ``_Store`` per n: a divisor image is
 a tuple of interned (offset, coeff) terms, a Seidel image one offset, with
 offset = shift * N + index(image) - index(pair).
 S^2 = q^2 makes Seidel injective on keys: ``seidel`` and ``apply_word``
-move each term to its image key, and raise if two terms meet.
+raise if two terms meet at one image key.
 """
 
 from typing import NamedTuple
@@ -272,9 +272,9 @@ def _chevalley_raw_cases(n, q1, q2, quantum):
             (-2, (q1 - 2, q2 - 1)), (-2, (q1 - 1, q2 - 2)), (1, (q1 - 2, q2 - 2))]
 
 
-# Per-pair kernels: a valid pair in, (shift, pair, coeff) terms out, or
-# Seidel's image key (shift, pair).  Each call of a single operator memoizes
-# them in a dict of its own and keeps none; apply_word codes them into _STORES.
+# Per-pair kernels, one contract: a valid pair in, a list of (shift, pair,
+# coeff) terms out, one term for Seidel.  The single operators fold them per
+# term and keep none; apply_word codes them into _STORES.
 def _classical_chevalley_pair(n, pair):
     # the raw indices of one pair are distinct: no two terms share a key
     top = 2 * n
@@ -308,22 +308,19 @@ def _quantum_chevalley_pair(n, pair):
 def _seidel_pair(n, pair):
     a, b = pair
     if a - n >= 1:
-        return 0, (a - n, b - n)
+        return [(0, (a - n, b - n), 1)]
     shift, image, antidiagonal = _normalize(n, a - n, b - n)
     assert image is not None and not antidiagonal, (n, pair)
-    return shift, image
+    return [(shift, image, 1)]
 
 
 def _apply_termwise(pair_op, n, element):
     if element.n != n:
         raise ValueError(f"element has n={element.n}, expected {n}")
-    out, memo = {}, {}
+    out = {}
     get = out.get
     for (d, pair), coeff in element._terms.items():
-        terms = memo.get(pair)
-        if terms is None:
-            terms = memo[pair] = pair_op(n, pair)
-        for shift, image, c in terms:
+        for shift, image, c in pair_op(n, pair):
             key = (d + shift, image)
             out[key] = get(key, 0) + coeff * c
     return RingElement._from_valid(n, out)
@@ -371,17 +368,11 @@ def quantum_chevalley(n, element):
 
 def seidel(n, element):
     """Multiplication by O_{n-1,n}: the index shift (a, b) -> (a-n, b-n)."""
-    if element.n != n:
-        raise ValueError(f"element has n={element.n}, expected {n}")
-    out, memo = {}, {}
-    for (d, pair), coeff in element._terms.items():
-        key = memo.get(pair)
-        if key is None:
-            key = memo[pair] = _seidel_pair(n, pair)
-        out[(d + key[0], key[1])] = coeff
-    if len(out) != len(element._terms):
+    out = _apply_termwise(_seidel_pair, n, element)
+    # the fold sums colliding terms and drops a zero sum: a key is lost
+    if len(out._terms) != len(element._terms):
         raise RuntimeError(f"seidel sent two terms of {element!r} to one key")
-    return RingElement._from_valid(n, out)
+    return out
 
 
 def richardson_special_expand(n, p):
@@ -528,17 +519,16 @@ def apply_word(n, word, start=None):
                 offset = shifts[code % size]
                 if offset is None:
                     i = code % size
-                    s, p = seidel_kernel(n, basis[i])
+                    (s, p, _), = seidel_kernel(n, basis[i])
                     offset = shifts[i] = s * size + index[p] - i
                 new[code + offset] = coeff
             if len(new) != len(codes):
                 raise RuntimeError(f"seidel sent two terms of "
                                    f"{store.decode(n, codes)!r} to one key")
             codes = new
-        elif token == "q":
-            codes = {code + size: c for code, c in codes.items()}
-        elif isinstance(token, tuple) and len(token) == 2 and token[0] == "q":
-            shift = _checked_shift(token[1]) * size
+        elif token == "q" or (isinstance(token, tuple) and len(token) == 2
+                              and token[0] == "q"):
+            shift = size if token == "q" else _checked_shift(token[1]) * size
             codes = {code + shift: c for code, c in codes.items()}
         elif isinstance(token, tuple) and len(token) == 2 and token[0] == "scalar":
             k = _checked_scalar(token[1])

@@ -471,7 +471,7 @@ def test_kernels_match_normalize_reference():
             assert _summed(_classical_chevalley_pair(n, pair)) == \
                 _reference_chevalley(n, pair, quantum=False), (n, pair)
             nt = normalize_extended(n, a - n, b - n)
-            assert _seidel_pair(n, pair) == (nt.shift, nt.pair)
+            assert _seidel_pair(n, pair) == [(nt.shift, nt.pair, 1)]
             for _, (x, y) in _chevalley_raw_cases(n, a, b, quantum=True):
                 if x == 0 and normalize_extended(n, x, y).pair is not None:
                     traded.add(n)
@@ -682,9 +682,12 @@ def test_seidel_is_a_bijection_on_keys(monkeypatch):
     monkeypatch.setattr(qkig.ring, "_seidel_pair", lambda n, pair: kernel(
         n, (2, 3) if pair == (1, 3) else pair))
     both = E(3, {(0, (1, 3)): 1, (0, (2, 3)): 1})
+    # coefficients that cancel on the shared key must raise as well
+    cancelling = E(3, {(0, (1, 3)): 1, (0, (2, 3)): -1})
     for op in (lambda e: seidel(3, e), lambda e: apply_word(3, ["seidel"], e)):
-        with pytest.raises(RuntimeError, match="seidel sent two terms of"):
-            op(both)
+        for e in (both, cancelling):
+            with pytest.raises(RuntimeError, match="seidel sent two terms of"):
+                op(e)
     # the check is a raise, not an assert: it holds under python -O too
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_SEIDEL], env=env,

@@ -197,6 +197,23 @@ def test_kernel_error_is_a_failure_of_its_n(monkeypatch):
         {"n": 3, "what": "exception", "error": "ValueError: planted"}]
 
 
+def test_a_seidel_kernel_error_fails_only_the_seidel_suite(monkeypatch):
+    from qkig import ring
+
+    def broken(n, pair):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(ring, "_seidel_pair", broken)
+    [report] = verify.run_suite("chevalley", 4)
+    assert report["checks"] == 2 * (4 + 12 + 24) == 80
+    assert report["failures"] == []
+    [report] = verify.run_suite("seidel", 4)
+    assert report["checks"] == 0
+    assert report["failures"] == [
+        {"n": n, "what": "exception", "error": "ValueError: planted"}
+        for n in (2, 3, 4)]
+
+
 def test_geometry_error_in_bruhat_exits_1_naming_each_n(capsys, monkeypatch):
     from qkig import cli, oracle
 
