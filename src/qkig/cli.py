@@ -46,8 +46,13 @@ def _parse_pair(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# json.dumps(obj, sort_keys=True) builds an encoder per call; this one is
+# shared and holds no state between calls
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit_json(obj):
-    print(json.dumps(obj, sort_keys=True))
+    print(_JSON.encode(obj))
 
 
 def _default_seed(args):
@@ -170,20 +175,24 @@ def cmd_table(args):
     n = args.n
     op_pair = divisor_pair(n) if args.op == "divisor" else seidel_pair(n)
     apply_op = ring.quantum_chevalley if args.op == "divisor" else ring.seidel
-    prods = ((v, apply_op(n, ring.RingElement.basis(n, v)))
+    # v comes from basis_list: O_v needs no validation
+    prods = ((v, apply_op(n, ring.RingElement._from_valid(n, {(0, v): 1})))
              for v in basis_list(n))
+    write = sys.stdout.write
     if args.format == "json":
         # "rows" sorts last: the bytes of json.dumps(payload, sort_keys=True)
-        print(json.dumps({"n": n, "op": args.op, "by": list(op_pair)},
-                         sort_keys=True)[:-1] + ', "rows": [', end="")
-        for i, (v, prod) in enumerate(prods):
-            row = {"pair": list(v), "product": prod.to_dict()["terms"]}
-            print(", " * (i > 0) + json.dumps(row, sort_keys=True), end="")
-        print("]}")
+        write(_JSON.encode({"n": n, "op": args.op, "by": list(op_pair)})[:-1]
+              + ', "rows": [')
+        sep = ""
+        for (a, b), prod in prods:
+            write(f'{sep}{{"pair": [{a}, {b}], "product": '
+                  f'{prod._terms_json()}}}')
+            sep = ", "
+        write("]}\n")
     else:
         a, b = op_pair
         for v, prod in prods:
-            print(f"O_{{{a},{b}}} * O_{{{v[0]},{v[1]}}} = {prod.to_text()}")
+            write(f"O_{{{a},{b}}} * O_{{{v[0]},{v[1]}}} = {prod.to_text()}\n")
     return EXIT_OK
 
 
@@ -193,7 +202,8 @@ def build_parser(command=None):
         description="Exact products and curve neighborhoods for the quantum "
                     "K-theory of the symplectic Grassmannian of lines "
                     "IG(2, 2n).")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an explicit prog spares argparse formatting a usage line to find it
+    sub = parser.add_subparsers(dest="command", required=True, prog="qkig")
     n = ("--n", {"type": int, "required": True,
                  "help": "ambient parameter n >= 2 for IG(2, 2n)"})
     as_json = ("--json", {"action": "store_true"})
@@ -261,7 +271,7 @@ def main(argv=None):
         # a handler returns its exit code, or the ring element to print
         if isinstance(result, ring.RingElement):
             if args.json:
-                _emit_json(result.to_dict())
+                print(result.to_json())
             else:
                 print(result.to_text())
             result = EXIT_OK

@@ -19,6 +19,9 @@ a tuple of interned (offset, coeff) terms, a Seidel image one offset, with
 offset = shift * N + index(image) - index(pair).
 S^2 = q^2 makes Seidel injective on keys: ``seidel`` and ``apply_word``
 raise if two terms meet at one image key.
+An element prints as text (``to_text``) or as canonical JSON: ``to_json``
+formats the sorted terms straight into the bytes of
+``json.dumps(to_dict(), sort_keys=True)``, building no dict per term.
 """
 
 from typing import NamedTuple
@@ -221,6 +224,16 @@ class RingElement:
             "terms": [{"q": d, "pair": [a, b], "coeff": c}
                       for (d, (a, b)), c in self.sorted_terms()],
         }
+
+    def to_json(self):
+        """``json.dumps(self.to_dict(), sort_keys=True)``, without the dicts."""
+        return f'{{"n": {self.n}, "terms": {self._terms_json()}}}'
+
+    def _terms_json(self):
+        """The "terms" array of ``to_json``: keys sorted, ", " and ": "."""
+        return "[" + ", ".join([
+            f'{{"coeff": {c}, "pair": [{a}, {b}], "q": {d}}}'
+            for (d, (a, b)), c in self.sorted_terms()]) + "]"
 
     def to_text(self):
         if not self._terms:

@@ -292,6 +292,28 @@ def test_table_json_never_holds_the_table():
     assert peak < 500_000
 
 
+def test_table_does_not_validate_its_rows(monkeypatch, capsys):
+    # each O_v comes from basis_list; validating it cost one call per row
+    import qkig.ring
+    calls = []
+    real = qkig.ring.require_valid
+
+    def counting(n, pair):
+        calls.append(pair)
+        return real(n, pair)
+
+    monkeypatch.setattr(qkig.ring, "require_valid", counting)
+    for op in ("divisor", "seidel"):
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, ["table", "--n", "16", "--op", op,
+                                          "--format", fmt])
+            assert (code, err) == (0, "")
+            rows = (json.loads(out)["rows"] if fmt == "json"
+                    else out.splitlines())
+            assert len(rows) == 480
+            assert calls == [], (op, fmt, len(calls))
+
+
 def _golden_argvs():
     for n in range(2, 9):
         yield ["basis", "--n", str(n)]

@@ -27,6 +27,10 @@ def test_is_valid_pair():
     assert not is_valid_pair(3, 3, 3)
     assert not is_valid_pair(3, 0, 4)
     assert not is_valid_pair(3, 2, 7)
+    # non-int indices, as explain_invalid and require_valid reject them
+    for n, a, b in ((2, 1.5, 2), (3, 1.0, 2.0), (2, True, 3)):
+        assert not is_valid_pair(n, a, b)
+        assert explain_invalid(n, a, b) == "indices must be integers"
 
 
 def test_bool_and_float_indices_are_rejected():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -376,6 +377,32 @@ def test_element_validation_and_canonical_form():
         E.basis(3, (True, 5))
     with pytest.raises(InvalidPairError, match="expected a pair"):
         E(3, {(0, (1, 2, 3)): 1})
+
+
+def test_to_json_is_the_sorted_dump():
+    def dump(e):
+        return json.dumps(e.to_dict(), sort_keys=True)
+
+    elements = [E.zero(3), E.unit(3), E.zero(16), E.unit(16)]
+    for n in range(2, 9):
+        for v in basis_list(n):
+            o_v = E.basis(n, v)
+            elements += [quantum_chevalley(n, o_v), classical_chevalley(n, o_v),
+                         seidel(n, o_v)]
+    # multi-digit and negative coefficients, q-powers of 10 and more
+    for n in (3, 7, 12):
+        elements += [apply_word(n, ["divisor"] * 12),
+                     apply_word(n, ["divisor"] * 12 + [("q", 11),
+                                                       ("scalar", -13)]),
+                     apply_word(n, ["seidel", ("q", 11), "divisor", "divisor",
+                                    ("scalar", -13), "divisor"] * 3)]
+    assert any(abs(c) >= 10 for e in elements for c in e._terms.values())
+    assert any(c <= -10 for e in elements for c in e._terms.values())
+    assert any(d >= 10 for e in elements for d, _ in e._terms)
+    for e in elements:
+        assert e.to_json() == dump(e)
+        assert e._terms_json() == json.dumps(e.to_dict()["terms"],
+                                             sort_keys=True)
 
 
 def test_operators_do_not_mutate_inputs():
