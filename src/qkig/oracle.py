@@ -9,12 +9,12 @@ fraction-free elimination of ``linalg``, with three shortcuts: the rank of
 two rows is read off their 2 x 2 minors, ``gram_rank`` reads the
 symplectic rank of two planes off one Pfaffian, and a membership trial
 reduces z's generators against its echelon span once and reads both
-dim(V_x + V_y + V_z) and the degree-3 meet off the residues.  Membership in an
-opposite Schubert variety is membership in the standard one in reversed
-coordinates.  The constructions mirror the curve-chain arguments behind
-the closed formulas: two-line chains through general points, degree-3 and
-degree-4 witnesses drawn inside V_x + V_y, Richardson and line points
-built from flag intersections.  Constructors only build; the
+dim(V_x + V_y + V_z) and the degree-3 meet off the residues.  An opposite
+Schubert variety or cell is the standard one in reversed coordinates.  The
+constructions mirror the curve-chain arguments behind the closed formulas:
+two-line chains through general points, degree-3 and degree-4 witnesses
+drawn inside V_x + V_y, Richardson and line points built from flag
+intersections.  Constructors only build; the
 public ``verify_*`` functions check a witness against the incidence and
 isotropy conditions it claims, and ``membership_suite`` runs each check
 once, comparing the outcomes with the point-pair criteria of
@@ -253,17 +253,16 @@ def random_isotropic_plane(n, seed=None, rng=None):
     raise SamplingError(f"random isotropic plane failed for n={n}")
 
 
-def random_point_in_cell(n, pair, orientation="standard", seed=None, rng=None):
+def random_point_in_cell(n, pair, *, seed=None, rng=None):
     """Point of the open cell of ``pair``: meets E_a in dimension exactly 1,
     sits inside E_b, and meets no smaller flag subspace than forced.
 
-    ``orientation="opposite"`` produces the mirrored cell for the E^ flag.
+    A point of the opposite cell, for the E^ flag, is such a point in
+    reversed coordinates, as ``in_schubert`` treats the opposite variety.
     Verified post-hoc; resamples on genericity failure.
     """
     rng = _rng_of(seed, rng)
     a, b = require_valid(n, pair)
-    if orientation not in ("standard", "opposite"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     two_n = 2 * n
     e_basis = _unit_rows(two_n, range(b))
     for _ in range(_MAX_TRIES):
@@ -275,13 +274,9 @@ def random_point_in_cell(n, pair, orientation="standard", seed=None, rng=None):
         if plane is None:
             continue
         # also rejects a partner inside E_{b-1}: it meets E_{b-1} in dimension 2
-        profile_ok = all(_dim_meet_prefix(plane.gens, k) == (k >= a) + (k >= b)
-                         for k in range(1, two_n + 1))
-        if not profile_ok:
-            continue
-        if orientation == "opposite":
-            plane = Plane2(n, _reversed(plane.gens))
-        return plane
+        if all(_dim_meet_prefix(plane.gens, k) == (k >= a) + (k >= b)
+               for k in range(1, two_n + 1)):
+            return plane
     raise SamplingError(f"cell sampling failed for n={n}, pair={pair}")
 
 

@@ -239,8 +239,11 @@ def test_random_point_in_cell():
     # exact cell membership: meets E_2 in dimension one, not contained in E_3
     assert in_schubert(3, p, (1, 4)) is False
     assert in_schubert(3, p, (2, 3)) is False
-    q = random_point_in_cell(3, (2, 4), orientation="opposite", seed=4)
+    # a point of the opposite cell is a cell point in reversed coordinates
+    from qkig.oracle import _reversed
+    q = Plane2(3, _reversed(p.gens))
     assert q.is_isotropic() and in_schubert(3, q, (2, 4), opposite=True)
+    assert not in_schubert(3, q, (1, 4), opposite=True)
     # a top-cell sample avoids every proper Schubert subvariety
     top = random_point_in_cell(3, (5, 6), seed=11)
     for pair in basis_list(3):
@@ -251,39 +254,38 @@ def test_random_point_in_cell():
         in_schubert(3, coordinate_plane(4, 1, 2), (1, 2))
     with pytest.raises(GeometryError, match="n = 2, not n = 3"):
         in_schubert(3, coordinate_plane(2, 1, 2), (1, 2), opposite=True)
-    with pytest.raises(ValueError, match="unknown orientation 'sideways'"):
-        random_point_in_cell(3, (2, 4), "sideways", seed=4)
+    # the seed is keyword-only: a third positional argument is refused
+    with pytest.raises(TypeError, match="positional"):
+        random_point_in_cell(3, (2, 4), "opposite")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_cell_is_sampleable(n):
     # the flag profile of a cell point jumps exactly at the two indices
-    from qkig.oracle import _dim_meet_prefix, _reversed
+    from qkig.oracle import _dim_meet_prefix
     for pair in basis_list(n):
         a, b = pair
-        for orient in ("standard", "opposite"):
-            p = random_point_in_cell(n, pair, orientation=orient, seed=13)
-            assert p.is_isotropic()
-            assert in_schubert(n, p, pair, opposite=(orient == "opposite"))
-            rows = _reversed(p.rows) if orient == "opposite" else p.rows
-            profile = [_dim_meet_prefix(rows, k) for k in range(1, 2 * n + 1)]
-            assert profile == [(k >= a) + (k >= b) for k in range(1, 2 * n + 1)]
+        p = random_point_in_cell(n, pair, seed=13)
+        assert p.is_isotropic() and in_schubert(n, p, pair)
+        profile = [_dim_meet_prefix(p.rows, k) for k in range(1, 2 * n + 1)]
+        assert profile == [(k >= a) + (k >= b) for k in range(1, 2 * n + 1)]
 
 
 def test_bruhat_suite_checks_cell_points(monkeypatch):
     from qkig import oracle, verify
     rep = verify.run_suite("bruhat", 3, seed=5)[0]
-    # per n: the fixed-point order, the cell points in both orientations,
-    # and the Richardson and line witnesses, each over all N^2 pairs
-    assert rep["failures"] == [] and rep["checks"] == 5 * (4 ** 2 + 12 ** 2)
-    # a sampler stuck on the point cell: its point lies in every X_v
+    # per n: the fixed-point order, one cell point per class, and the
+    # Richardson and line witnesses, each over all N^2 pairs
+    assert rep["failures"] == [] and rep["checks"] == 4 * (4 ** 2 + 12 ** 2)
+    # a sampler stuck on the point cell: its point lies in every X_v, so
+    # each pair with u not <= v fails, in the order of the pairs
     real = oracle.random_point_in_cell
     monkeypatch.setattr(oracle, "random_point_in_cell",
-                        lambda n, u, orientation, seed:
-                        real(n, (1, 2), orientation, seed))
+                        lambda n, u, seed: real(n, (1, 2), seed=seed))
     bad = verify.run_suite("bruhat", 3, seed=5)[0]["failures"]
-    assert bad and {f["what"] for f in bad} == {"cell"}
-    assert {f["orientation"] for f in bad} == {"standard", "opposite"}
+    assert bad == [{"n": n, "u": u, "v": v, "what": "cell"}
+                   for n in (2, 3) for u in basis_list(n)
+                   for v in basis_list(n) if not bruhat_leq(n, u, v)]
 
 
 def test_chain2_through():
@@ -603,15 +605,13 @@ def test_seeded_planes_are_pinned():
                 built += [z, gamma3_witness(x, y, z),
                           gamma4_witness(x, y, z, rng=rng)]
         for u in basis_list(n):
-            for orient in ("standard", "opposite"):
-                built.append(random_point_in_cell(n, u, orientation=orient,
-                                                  seed=n))
+            built.append(random_point_in_cell(n, u, seed=n))
             for v in basis_list(n):
                 built += [richardson_witness(n, u, v, seed=5),
                           line_witness(n, u, v, seed=5)]
     digest = hashlib.sha256(repr([_rows(b) for b in built]).encode())
     assert digest.hexdigest() == (
-        "df930252f803d931b9abf8c46d0ea8073d1336857b703de9eaca15481bf8cb87")
+        "1da609c4b5606fcf196ff1c56fa66371fad5cdc3a5229572870bf9992678d057")
 
 
 def test_sample_z_modes_and_partner_plane():

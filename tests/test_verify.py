@@ -177,6 +177,19 @@ def test_bruhat_reports_a_missing_line(monkeypatch):
         {"n": 3, "u": (2, 6), "v": (1, 4), "what": "line"}]
 
 
+def test_a_reversal_that_is_not_an_involution_fails_bruhat(capsys,
+                                                          monkeypatch):
+    # the opposite flag is the standard one in reversed coordinates; a
+    # rotation in place of the reversal breaks every opposite-flag test, and
+    # the Richardson and line witnesses, which build points of X^v, catch it
+    from qkig import cli, oracle
+    monkeypatch.setattr(oracle, "_reversed",
+                        lambda rows: [r[1:] + r[:1] for r in rows])
+    code = cli.main(["verify", "--suite", "bruhat", "--n-max", "4"])
+    capsys.readouterr()
+    assert code in (cli.EXIT_SUITE_FAILURE, cli.EXIT_SAMPLING)
+
+
 # --- a kernel error fails its n and the sweep goes on
 
 
