@@ -17,10 +17,10 @@ import sys
 from . import neighborhoods as nb, ring, verify
 from .pairs import (
     InvalidPairError,
+    _dim_schubert,
     _richardson_nonempty,
     basis_list,
-    codim_schubert,
-    dim_schubert,
+    dim_space,
     divisor_pair,
     dual_pair,
     require_valid,
@@ -66,16 +66,15 @@ def _default_seed(args):
 
 
 def cmd_basis(args):
+    n = args.n
+    top = dim_space(n)  # codimension = top - dimension, on basis pairs
     rows = []
-    for a, b in basis_list(args.n):
-        rows.append({
-            "pair": [a, b],
-            "dim": dim_schubert(args.n, a, b),
-            "codim": codim_schubert(args.n, a, b),
-            "dual": list(dual_pair(args.n, (a, b))),
-        })
+    for a, b in basis_list(n):
+        dim = _dim_schubert(n, a, b)
+        rows.append({"pair": [a, b], "dim": dim, "codim": top - dim,
+                     "dual": list(dual_pair(n, (a, b)))})
     if args.json:
-        _emit_json({"n": args.n, "basis": rows})
+        _emit_json({"n": n, "basis": rows})
     else:
         for r in rows:
             print(f"O_{{{r['pair'][0]},{r['pair'][1]}}}  dim={r['dim']} "

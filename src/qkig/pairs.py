@@ -53,9 +53,7 @@ def seidel_pair(n):
 
 def is_valid_pair(n, a, b):
     """True iff (a, b) indexes a basis class of IG(2, 2n)."""
-    _check_n(n)
-    return (type(a) is int and type(b) is int
-            and 1 <= a < b <= 2 * n and a + b != 2 * n + 1)
+    return explain_invalid(n, a, b) is None
 
 
 def explain_invalid(n, a, b):

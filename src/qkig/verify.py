@@ -174,11 +174,17 @@ def _geometry(n, trials, seed, report):
 
 
 def _bruhat(n, trials, seed, report):
-    """Per pair, the geometric fixed-point order and a cell point vs the
-    product order; Richardson and line witnesses up to n = 4."""
+    """The basis against the torus-fixed points; per pair, the geometric
+    fixed-point order and a cell point vs the product order; Richardson and
+    line witnesses up to n = 4."""
     from . import oracle
     fail = report["failures"].append
     basis = basis_list(n)
+    # the torus-fixed points are the isotropic coordinate planes
+    fixed = {(i, j) for i in range(1, 2 * n) for j in range(i + 1, 2 * n + 1)
+             if oracle.coordinate_plane(n, i, j).is_isotropic()}
+    if len(set(basis)) != len(basis) or set(basis) != fixed:
+        fail({"n": n, "what": "basis"})
     witnesses = n <= 4
     for u in basis:
         # a point of the cell of u lies in X_v exactly when u <= v
@@ -198,7 +204,7 @@ def _bruhat(n, trials, seed, report):
             expected = nb.gamma_pair(n, u, v, 1).kind != "empty"
             if (line is not None) != expected:
                 fail({"n": n, "u": u, "v": v, "what": "line"})
-    return (4 if witnesses else 2) * len(basis) ** 2
+    return 1 + (4 if witnesses else 2) * len(basis) ** 2
 
 
 # name: (sweep over one n, cap on n or None, the params its report lists)

@@ -168,6 +168,25 @@ def test_classify_validates_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_basis_validates_each_pair_once(monkeypatch, capsys):
+    # dim and codim come from the trusted closed form; only dual_pair, the
+    # one printer of its arithmetic, validates its pair
+    import qkig.pairs
+    real = qkig.pairs.require_valid
+    calls = []
+
+    def counting(n, pair):
+        calls.append(pair)
+        return real(n, pair)
+
+    monkeypatch.setattr(qkig.pairs, "require_valid", counting)
+    for argv in (["basis", "--n", "16"], ["basis", "--n", "16", "--json"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == len(basis_list(16)) == 480
+    capsys.readouterr()
+
+
 def test_gamma(capsys):
     code, out, _ = run(capsys, ["gamma", "--n", "3", "--u", "1,3", "--v", "3,5",
                                 "--deg", "2", "--json"])
@@ -430,7 +449,7 @@ def test_verify_output_is_pinned(capsys):
                                 "--trials", "20", "--seed", "7"])
     digest = hashlib.sha256(repr((code, out)).encode()).hexdigest()
     assert digest == (
-        "ff783a6b1e6b5f72682263719ca61ac277af730d958e78c9f79fed7ede2fa215")
+        "fc549b6cf12282b089f18a7873f84990f0f73bd13dd38feac3a467d72ca097d0")
 
 
 def _run_any(capsys, argv):

@@ -274,9 +274,10 @@ def test_every_cell_is_sampleable(n):
 def test_bruhat_suite_checks_cell_points(monkeypatch):
     from qkig import oracle, verify
     rep = verify.run_suite("bruhat", 3, seed=5)[0]
-    # per n: the fixed-point order, one cell point per class, and the
-    # Richardson and line witnesses, each over all N^2 pairs
-    assert rep["failures"] == [] and rep["checks"] == 4 * (4 ** 2 + 12 ** 2)
+    # per n: the basis, then the fixed-point order, one cell point per class,
+    # and the Richardson and line witnesses, each over all N^2 pairs
+    assert rep["failures"] == []
+    assert rep["checks"] == 4 * (4 ** 2 + 12 ** 2) + 2
     # a sampler stuck on the point cell: its point lies in every X_v, so
     # each pair with u not <= v fails, in the order of the pairs
     real = oracle.random_point_in_cell

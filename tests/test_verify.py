@@ -177,6 +177,37 @@ def test_bruhat_reports_a_missing_line(monkeypatch):
         {"n": 3, "u": (2, 6), "v": (1, 4), "what": "line"}]
 
 
+def _mutant_basis(n, b_from):
+    """basis_list with its b loop started at b_from(a), run under -O."""
+    two_n = 2 * n
+    pairs = [(a, b) for a in range(1, two_n)
+             for b in range(b_from(a), two_n + 1) if a + b != two_n + 1]
+    return tuple(sorted(pairs, key=lambda p: (p[0] + p[1], p[0])))
+
+
+@pytest.mark.parametrize("fault", [
+    lambda n, basis: tuple(p for p in basis if p[0] < n),  # a loop to n - 1
+    lambda n, basis: basis + basis[:1],                    # a repeated pair
+], ids=["a_below_n", "repeat"])
+def test_bruhat_reports_a_wrong_basis(monkeypatch, fault):
+    real = verify.basis_list
+    monkeypatch.setattr(verify, "basis_list", lambda n: fault(n, real(n)))
+    assert _failures("bruhat", 3, seed=5) == [
+        {"n": 2, "what": "basis"}, {"n": 3, "what": "basis"}]
+
+
+def test_bruhat_reports_a_basis_with_repeated_indices(monkeypatch):
+    assert all(_mutant_basis(n, lambda a: a + 1) == basis_list(n)
+               for n in (2, 3))
+    monkeypatch.setattr(verify, "basis_list",
+                        lambda n: _mutant_basis(n, lambda a: a))
+    assert verify.basis_list(2)[0] == (1, 1)
+    bad = _failures("bruhat", 3, seed=5)
+    # (1, 1) comes first and no kernel accepts it
+    assert [(f["n"], f["what"]) for f in bad] == [
+        (2, "basis"), (2, "exception"), (3, "basis"), (3, "exception")]
+
+
 def test_a_reversal_that_is_not_an_involution_fails_bruhat(capsys,
                                                           monkeypatch):
     # the opposite flag is the standard one in reversed coordinates; a
