@@ -11,10 +11,9 @@ geometry oracle.
 """
 
 _EXPORTS = {
-    "pairs": """InvalidPairError basis_list bruhat_leq codim_schubert delta
-        dim_schubert dim_space divisor_pair dual_pair fano_index
-        is_valid_pair richardson_dim richardson_nonempty seidel_pair
-        unit_pair""",
+    "pairs": """InvalidPairError basis_list bruhat_leq dim_schubert dim_space
+        divisor_pair dual_pair fano_index is_valid_pair richardson_dim
+        richardson_nonempty seidel_pair unit_pair""",
     "ring": """NormalizedTerm RingElement UnsupportedFamilyError apply_word
         chevalley_q_part_geometric classical_chevalley normalize_extended
         product_C1 product_C2 quantum_chevalley richardson_special_expand
@@ -26,9 +25,8 @@ _EXPORTS = {
     "chi": """chi_chevalley chi_xuv ideal_to_schubert
         reconstruct_classical_chevalley reconstruct_xuv""",
     "oracle": """GeometryError Plane2 SamplingError bruhat_oracle
-        chain2_through dim_intersect dim_sum gamma3_witness gamma4_witness
-        line_witness membership_suite random_isotropic_plane
-        random_point_in_cell richardson_witness""",
+        chain2_through dim_intersect dim_sum line_witness membership_suite
+        random_isotropic_plane random_point_in_cell richardson_witness""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}

@@ -14,7 +14,7 @@ and classical_chevalley.
 
 from functools import lru_cache
 
-from .pairs import _check_n, basis_list, require_valid
+from .pairs import _check_n, basis_list, dual_pair, require_valid
 from .ring import RingElement
 
 
@@ -44,10 +44,9 @@ def _inverse_rows(n):
 
 @lru_cache(maxsize=None)
 def _opposites(n):
-    """The opposite pair (2n+1-b, 2n+1-a) of each basis pair (a, b), in basis
-    order: the chi table entry that weights the ideal-sheaf class at (a, b)."""
-    top = 2 * n + 1
-    return tuple((top - b, top - a) for a, b in basis_list(n))
+    """The ``dual_pair`` of each basis pair, in basis order: the chi table
+    entry that weights the ideal-sheaf class at that pair."""
+    return tuple(dual_pair(n, p) for p in basis_list(n))
 
 
 def invert_lower_unitriangular(z):
@@ -137,6 +136,7 @@ def _reconstruct(n, chis):
 
 def reconstruct_xuv(n, p):
     """Re-derive the special Richardson expansion from its chi table."""
+    _check_n(n)
     _check_p(n, p)
     return _reconstruct(n, [_chi_xuv(n, p, r) for r in _opposites(n)])
 

@@ -116,49 +116,33 @@ class Plane2:
         return f"Plane2(n={self.n}, rows={self.rows})"
 
 
-def _rows_of(obj):
-    return obj.gens if isinstance(obj, Plane2) else [tuple(r) for r in obj]
-
-
-def _stacked(objs):
-    """The rows of all arguments; planes among them must share one n."""
-    if len(ns := {o.n for o in objs if isinstance(o, Plane2)}) > 1:
+def dim_sum(*planes):
+    """Dimension of the span of the planes, which must share one n."""
+    if len(ns := {p.n for p in planes}) > 1:
         raise GeometryError(f"planes of different n: {min(ns)} and {max(ns)}")
-    return stack(*[_rows_of(o) for o in objs])
+    return rank([r for p in planes for r in p.gens])
 
 
-def dim_sum(*objs):
-    """Dimension of the span of the row spaces of the arguments."""
-    return rank(_stacked(objs))
+def dim_intersect(x, y):
+    return 4 - dim_sum(x, y)
 
 
-def dim_intersect(a, b):
-    da, db = (2 if isinstance(o, Plane2) else rank(o) for o in (a, b))
-    return da + db - dim_sum(a, b)
+def gram_rank(n, x, y):
+    """Rank of the symplectic form on V_x + V_y, for two planes of this n.
 
-
-def gram_rank(n, *objs):
-    """Rank of the symplectic form restricted to the span of the arguments.
-
-    Two planes of this n: their 4 x 4 antisymmetric Gram matrix has even
-    rank and det = Pf^2, so rank 4 iff Pf = ab.cd - ac.bd + ad.bc is
-    nonzero, else 2 iff some entry is.  Other input: ``rank`` of the Gram
-    matrix of the stacked rows, dependent ones included (A = C B, C of full
-    column rank, gives A Omega A^T = C (B Omega B^T) C^T of the same rank).
+    Their 4 x 4 antisymmetric Gram matrix has even rank and det = Pf^2, so
+    rank 4 iff Pf = ab.cd - ac.bd + ad.bc is nonzero, else 2 iff some entry
+    is.  For raw rows, take ``linalg.rank`` of their Gram matrix.
     """
-    # two planes of this n: their constructors checked lengths and entries
-    if len(objs) == 2 and all(isinstance(o, Plane2) and o.n == n
-                              for o in objs):
-        a, b, c, d = *objs[0].gens, *objs[1].gens
-        ab, ac, ad = omega(n, a, b), omega(n, a, c), omega(n, a, d)
-        bc, bd, cd = omega(n, b, c), omega(n, b, d), omega(n, c, d)
-        if ab * cd - ac * bd + ad * bc:
-            return 4
-        return 2 if ab or ac or ad or bc or bd or cd else 0
-    rows = _stacked(objs)
-    if any(len(r) != 2 * n for r in rows):
+    if not x.n == y.n == n:
+        dim_sum(x, y)  # raises for planes of different n
         raise GeometryError(f"rows must have length 2n = {2 * n}")
-    return rank([[omega(n, u, v) for v in rows] for u in rows])
+    a, b, c, d = *x.gens, *y.gens
+    ab, ac, ad = omega(n, a, b), omega(n, a, c), omega(n, a, d)
+    bc, bd, cd = omega(n, b, c), omega(n, b, d), omega(n, c, d)
+    if ab * cd - ac * bd + ad * bc:
+        return 4
+    return 2 if ab or ac or ad or bc or bd or cd else 0
 
 
 def _unit_rows(length, idxs):
@@ -321,21 +305,6 @@ def verify_two_line_chain(x, y, t):
             and dim_sum(x, y, t) <= 4)
 
 
-def gamma3_witness(x, y, z):
-    """Witness that z is swept by a broken cubic through general x and y.
-
-    Returns an isotropic plane t inside V_x + V_y meeting V_z (so t and z
-    span a line while x, y, t sit on a common conic), or None when the span
-    of the three planes is too big for one to exist.
-    """
-    span = row_basis(_stacked((x, y)))
-    if len(span) != 4:
-        raise GeometryError("x and y must span a 4-space")
-    # raw rows become a plane; a plane of another n is refused
-    z = Plane2(x.n, _rows_of(z))
-    return _gamma3_in_span(x.n, span, z, _residues(span, z))
-
-
 def _gamma3_in_span(n, span, z, residues):
     """Degree-3 witness inside ``span``, an echelon basis of V_x + V_y, or
     None when V_z misses the span: v, the first rref row of the meet, paired
@@ -370,16 +339,6 @@ def verify_gamma3_witness(x, y, z, t):
     return (t.is_isotropic()
             and dim_sum(x, y, t) <= 4
             and dim_intersect(t, z) >= 1)
-
-
-def gamma4_witness(x, y, z, seed=None, rng=None):
-    """Witness that any z is swept in degree 4: a middle point t with a conic
-    through x, y, t and a conic through t, z."""
-    n = x.n
-    if gram_rank(n, x, y) != 4:
-        raise GeometryError("x and y must be in general position")
-    span = row_basis(stack(x.rows, y.rows))
-    return _gamma4_in_span(n, span, z, _rng_of(seed, rng))
 
 
 def _gamma4_in_span(n, span, z, rng):

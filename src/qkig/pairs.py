@@ -88,15 +88,6 @@ def require_valid(n, pair):
     return (a, b)
 
 
-def delta(n, a, b):
-    """0 if a + b < 2n + 1, 1 if a + b > 2n + 1."""
-    _check_n(n)
-    if a + b == 2 * n + 1:
-        raise InvalidPairError(
-            f"delta undefined for ({a},{b}) with a + b = 2n + 1, n={n}")
-    return 0 if a + b < 2 * n + 1 else 1
-
-
 def dim_schubert(n, a, b):
     """Dimension of the Schubert variety indexed by (a, b)."""
     require_valid(n, (a, b))
@@ -106,10 +97,6 @@ def dim_schubert(n, a, b):
 def _dim_schubert(n, a, b):
     """dim_schubert for a trusted basis pair."""
     return a + b - 3 - (a + b > 2 * n + 1)
-
-
-def codim_schubert(n, a, b):
-    return dim_space(n) - dim_schubert(n, a, b)
 
 
 def bruhat_leq(n, p, q):

@@ -258,13 +258,9 @@ class RingElement:
         return f"RingElement(n={self.n}, {self.to_text()})"
 
 
-def _chevalley_raw_cases(n, q1, q2, quantum):
-    """Coefficient/index list for the divisor product, before normalization.
-
-    Five-case dispatch on (q1, q2); the quantum and classical rules share the
-    same index lists except at q1 + q2 = 2n + 2 where the quantum rule splits
-    off the (2, 2n) class.
-    """
+def _chevalley_raw_cases(n, q1, q2):
+    """Coefficient/index list for the divisor product, before normalization:
+    a five-case dispatch on (q1, q2), one list for both rules."""
     s = q1 + q2
     top = 2 * n
     if q1 == q2 - 1:
@@ -275,9 +271,6 @@ def _chevalley_raw_cases(n, q1, q2, quantum):
         return [(1, (q1 - 1, q2)), (1, (q1, q2 - 1)), (-1, (q1 - 1, q2 - 2)),
                 (-1, (q1 - 2, q2 - 1)), (1, (q1 - 2, q2 - 2))]
     # s == 2n + 2
-    if quantum and q1 == 2 and q2 == top and n >= 3:
-        return [(2, (q1 - 1, q2 - 1)), (1, (q1, q2 - 2)), (-2, (q1 - 1, q2 - 2)),
-                (-1, (q1 - 2, q2 - 1)), (1, (q1 - 2, q2 - 2))]
     if q1 == n:  # q2 == n + 2
         return [(2, (q1 - 1, q2 - 1)), (1, (q1 - 2, q2)), (-2, (q1 - 2, q2 - 1)),
                 (-1, (q1 - 1, q2 - 2)), (1, (q1 - 2, q2 - 2))]
@@ -291,22 +284,19 @@ def _chevalley_raw_cases(n, q1, q2, quantum):
 def _classical_chevalley_pair(n, pair):
     # the raw indices of one pair are distinct: no two terms share a key
     top = 2 * n
-    return [(0, (a, b), c) for c, (a, b) in _chevalley_raw_cases(
-        n, *pair, quantum=False) if 1 <= a < b <= top and a + b != top + 1]
+    return [(0, (a, b), c) for c, (a, b) in _chevalley_raw_cases(n, *pair)
+            if 1 <= a < b <= top and a + b != top + 1]
 
 
 def _quantum_chevalley_pair(n, pair):
-    q1, q2 = pair
     top = 2 * n
-    if n == 2 and q1 + q2 == top + 2:
-        # (2, 4) is the only such pair at n = 2 and both sum-(2n+2) special
-        # cases collide on it; the six-term list would hit the degenerate
-        # index (2, 2).  Its q-part is the two-to-one correction
-        # q(O_{2n-2,2n} - 1) on top of the classical product.
+    if pair == (2, top):
+        # the two-to-one correction q(O_{2n-2,2n} - 1) on top of the
+        # classical product; the raw list normalizes to q(O_{2n-2,2n} - 2)
         return _classical_chevalley_pair(n, pair) + [
             (1, unit_pair(n), -1), (1, divisor_pair(n), 1)]
     out = []
-    for coeff, (a, b) in _chevalley_raw_cases(n, q1, q2, quantum=True):
+    for coeff, (a, b) in _chevalley_raw_cases(n, *pair):
         if 1 <= a < b <= top and a + b != top + 1:
             out.append((0, (a, b), coeff))
             continue

@@ -109,6 +109,11 @@ def test_chi_xuv_table():
             chi_xuv(3, bad, (2, 6))
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             reconstruct_xuv(3, bad)
+    # n is checked before p, which is compared with it
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        chi_xuv("3", 1, (1, 3))
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        reconstruct_xuv("3", 1)
 
 
 def test_chi_chevalley_table():

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +13,14 @@ import qkig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the names the package exported when it imported every submodule eagerly
+# the names the package exported when it imported every submodule eagerly,
+# less the wrappers no caller outside the tests used
 EXPORTS = {
     "pairs": [
-        "InvalidPairError", "basis_list", "bruhat_leq", "codim_schubert",
-        "delta", "dim_schubert", "dim_space", "divisor_pair", "dual_pair",
-        "fano_index", "is_valid_pair", "richardson_dim",
-        "richardson_nonempty", "seidel_pair", "unit_pair"],
+        "InvalidPairError", "basis_list", "bruhat_leq", "dim_schubert",
+        "dim_space", "divisor_pair", "dual_pair", "fano_index",
+        "is_valid_pair", "richardson_dim", "richardson_nonempty",
+        "seidel_pair", "unit_pair"],
     "ring": [
         "NormalizedTerm", "RingElement", "UnsupportedFamilyError",
         "apply_word", "chevalley_q_part_geometric", "classical_chevalley",
@@ -34,9 +37,8 @@ EXPORTS = {
         "reconstruct_classical_chevalley", "reconstruct_xuv"],
     "oracle": [
         "GeometryError", "Plane2", "SamplingError", "bruhat_oracle",
-        "chain2_through", "dim_intersect", "dim_sum", "gamma3_witness",
-        "gamma4_witness", "line_witness", "membership_suite",
-        "random_isotropic_plane", "random_point_in_cell",
+        "chain2_through", "dim_intersect", "dim_sum", "line_witness",
+        "membership_suite", "random_isotropic_plane", "random_point_in_cell",
         "richardson_witness"],
 }
 
@@ -96,3 +98,34 @@ def test_unknown_names_and_star_import():
     assert namespace["basis_list"] is qkig.pairs.basis_list
     from qkig import verify
     assert verify.run_suite
+
+
+def _src_references():
+    """Every name that code in src/qkig reads, outside __init__.py and
+    outside the top-level definition that binds the name."""
+    seen = set()
+    for path in (SRC / "qkig").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                ref = (node.id if isinstance(node, ast.Name) else
+                       node.attr if isinstance(node, ast.Attribute) else None)
+                if ref is not None and ref != own:
+                    seen.add(ref)
+    return seen
+
+
+def test_every_export_has_a_caller_or_is_documented():
+    # an exported name stays only while README names it in backticks, the
+    # library calls it, or the benchmark reads it
+    root = SRC.parent
+    spans = re.findall(r"`([^`\n]+)`", (root / "README.md").read_text())
+    bench = "\n".join(p.read_text() for p in (root / "perfbench").glob("*.py"))
+    used = _src_references()
+    dead = [name for name in qkig.__all__
+            if name not in used
+            and not any(re.search(rf"\b{name}\b", s) for s in spans)
+            and not re.search(rf"\b{name}\b", bench)]
+    assert dead == []

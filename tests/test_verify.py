@@ -149,6 +149,21 @@ def test_seidel_reports_a_wrong_neighborhood(monkeypatch):
         {"n": 3, "v": (3, 5), "what": "neighborhood"}]
 
 
+def test_brion_reads_the_opposite_pair_from_dual_pair(monkeypatch):
+    # the chi tables are indexed by dual_pair: one of its +-1 mutants, which
+    # no other suite reads, fails both reconstructions at every n
+    from qkig import chi
+    monkeypatch.setattr(chi, "dual_pair", lambda n, p: (
+        2 * n + 2 - p[1], 2 * n + 1 - p[0]), raising=False)
+    chi._opposites.cache_clear()
+    try:
+        failures = _failures("brion", 4)
+    finally:
+        chi._opposites.cache_clear()
+    assert {(f["n"], f["what"]) for f in failures} == {
+        (n, what) for n in (2, 3, 4) for what in ("xuv", "chevalley")}
+
+
 def test_bruhat_reports_a_wrong_fixed_point_order(monkeypatch):
     from qkig import oracle
     monkeypatch.setattr(oracle, "bruhat_oracle", _planted(
