@@ -136,7 +136,8 @@ def gram_rank(n, x, y):
     """
     if not x.n == y.n == n:
         dim_sum(x, y)  # raises for planes of different n
-        raise GeometryError(f"rows must have length 2n = {2 * n}")
+        raise GeometryError(f"planes lie in IG(2, 2n) for n = {x.n}, "
+                            f"not n = {n}")
     a, b, c, d = *x.gens, *y.gens
     ab, ac, ad = omega(n, a, b), omega(n, a, c), omega(n, a, d)
     bc, bd, cd = omega(n, b, c), omega(n, b, d), omega(n, c, d)

@@ -13,10 +13,10 @@ term (shift, image, 1) for Seidel, rewriting only non-basis indices via
 ``_normalize``.  It returns a plain (shift, pair, antidiagonal) tuple, which
 ``normalize_extended`` wraps in a ``NormalizedTerm``.  The single operators
 run one fold, which calls a kernel per term and keeps nothing across calls.
-``apply_word`` folds on {code: coeff} dicts, code = d * N + index(p) for
-q^d * O_p and N = 2n(n - 1), over one ``_Store`` per n: a divisor image is
-a tuple of interned (offset, coeff) terms, a Seidel image one offset, with
-offset = shift * N + index(image) - index(pair).
+``apply_word`` folds on {code: coeff} dicts, code = d * M^2 + a * M + b
+for q^d * O_{a,b} and M = 2n + 1, over two lists per n indexed by a * M + b
+and filled on first use: a divisor image is a tuple of interned (offset,
+coeff) terms, a Seidel image one offset, offset = code(image) - code(pair).
 S^2 = q^2 makes Seidel injective on keys: ``seidel`` and ``apply_word``
 raise if two terms meet at one image key.
 An element prints as text (``to_text``) or as canonical JSON: ``to_json``
@@ -31,7 +31,6 @@ from .pairs import (
     _c1,
     _c2,
     _check_n,
-    basis_list,
     dim_space,
     divisor_pair,
     fano_index,
@@ -329,32 +328,15 @@ def _apply_termwise(pair_op, n, element):
     return RingElement._from_valid(n, out)
 
 
-class _Store:
-    """apply_word's images at one n: the basis, each pair's index in it, and
-    per operator its kernel and a list of coded images, filled on first use.
-    A kernel replaced since its list was filled gets a fresh list instead."""
-
-    __slots__ = ("basis", "index", "lists")
-
-    def __init__(self, n):
-        self.basis = basis_list(n)
-        self.index = {p: i for i, p in enumerate(self.basis)}
-        self.lists = {}
-
-    def images(self, name, kernel):
-        entry = self.lists.get(name)
-        if entry is None or entry[0] is not kernel:
-            entry = self.lists[name] = (kernel, [None] * len(self.basis))
-        return entry[1]
-
-    def decode(self, n, codes):
-        size, basis = len(self.basis), self.basis
-        return RingElement._from_valid(n, {
-            (code // size, basis[code % size]): c for code, c in codes.items()})
+def _decoded(n, codes):
+    m = 2 * n + 1
+    size = m * m
+    return RingElement._from_valid(n, {
+        (code // size, divmod(code % size, m)): c for code, c in codes.items()})
 
 
-# n -> apply_word's _Store; and one object for each equal (offset, coeff)
-# divisor term at any n (3,445 terms at n = 3..12 hold 214).
+# n -> apply_word's divisor and Seidel lists; and one object for each equal
+# (offset, coeff) divisor term at any n (3,445 terms at n = 3..12 hold 336).
 _STORES = {}
 _TERMS = {}
 
@@ -495,12 +477,11 @@ def apply_word(n, word, start=None):
     out = RingElement.unit(n) if start is None else start
     if out.n != n:
         raise ValueError(f"start element has n={out.n}, expected {n}")
-    store = _STORES.get(n) or _STORES.setdefault(n, _Store(n))
-    size, index, basis = len(store.basis), store.index, store.basis
-    divisor_kernel, seidel_kernel = _quantum_chevalley_pair, _seidel_pair
-    divisor = store.images("divisor", divisor_kernel)
-    shifts = store.images("seidel", seidel_kernel)
-    codes = {d * size + index[p]: c for (d, p), c in out._terms.items()}
+    m = 2 * n + 1
+    size = m * m
+    divisor, shifts = _STORES.get(n) or _STORES.setdefault(
+        n, ([None] * size, [None] * size))
+    codes = {d * size + a * m + b: c for (d, (a, b)), c in out._terms.items()}
     for token in word:
         if token == "divisor":
             new = {}
@@ -510,8 +491,8 @@ def apply_word(n, word, start=None):
                 if image is None:
                     i = code % size
                     image = divisor[i] = tuple([_TERMS.setdefault(t, t) for t in (
-                        (s * size + index[p] - i, c)
-                        for s, p, c in divisor_kernel(n, basis[i]))])
+                        (s * size + a * m + b - i, c) for s, (a, b), c
+                        in _quantum_chevalley_pair(n, divmod(i, m)))])
                 for offset, c in image:
                     key = code + offset
                     new[key] = get(key, 0) + coeff * c
@@ -522,12 +503,12 @@ def apply_word(n, word, start=None):
                 offset = shifts[code % size]
                 if offset is None:
                     i = code % size
-                    (s, p, _), = seidel_kernel(n, basis[i])
-                    offset = shifts[i] = s * size + index[p] - i
+                    (s, (a, b), _), = _seidel_pair(n, divmod(i, m))
+                    offset = shifts[i] = s * size + a * m + b - i
                 new[code + offset] = coeff
             if len(new) != len(codes):
                 raise RuntimeError(f"seidel sent two terms of "
-                                   f"{store.decode(n, codes)!r} to one key")
+                                   f"{_decoded(n, codes)!r} to one key")
             codes = new
         elif token == "q" or (isinstance(token, tuple) and len(token) == 2
                               and token[0] == "q"):
@@ -538,4 +519,4 @@ def apply_word(n, word, start=None):
             codes = {code: k * c for code, c in codes.items()}
         else:
             raise ValueError(f"unknown operator token: {token!r}")
-    return store.decode(n, codes)
+    return _decoded(n, codes)

@@ -581,6 +581,7 @@ def test_apply_word_computes_each_image_once(monkeypatch):
 
     for name in ("_quantum_chevalley_pair", "_seidel_pair"):
         monkeypatch.setattr(qkig.ring, name, counting(getattr(qkig.ring, name)))
+    monkeypatch.setattr(qkig.ring, "_STORES", {})
     start = E(6, {(0, (2, 12)): 1, (1, (5, 9)): -2, (0, (1, 4)): 3})
     word = ["divisor", "seidel", "divisor", ("q", 1)] * 6
     out = apply_word(6, word, start)
@@ -588,6 +589,12 @@ def test_apply_word_computes_each_image_once(monkeypatch):
     assert {name for name, _ in calls} == {"_quantum_chevalley_pair",
                                            "_seidel_pair"}
     assert len(calls) == len(set(calls))
+
+
+def _kept_pairs(images, n):
+    """The pairs whose packed key a * (2n + 1) + b holds an image."""
+    assert len(images) == (2 * n + 1) ** 2
+    return {divmod(i, 2 * n + 1) for i, x in enumerate(images) if x is not None}
 
 
 def test_apply_word_keeps_images_across_words(monkeypatch):
@@ -605,11 +612,19 @@ def test_apply_word_keeps_images_across_words(monkeypatch):
             return kernel(n, pair)
         return wrapper
 
-    for name in ("_quantum_chevalley_pair", "_seidel_pair"):
+    names = ("_quantum_chevalley_pair", "_seidel_pair")
+    for name in names:
         monkeypatch.setattr(qkig.ring, name, counting(getattr(qkig.ring, name)))
+    monkeypatch.setattr(qkig.ring, "_STORES", {})
     apply_word(3, word, E.unit(3))
     apply_word(6, word, start)
     seen = set(calls)
+    assert len(calls) == len(seen)  # each image once per pair and n
+    # an image is kept at its pair's packed key, and only there
+    for n in (3, 6):
+        for name, images in zip(names, qkig.ring._STORES[n]):
+            assert _kept_pairs(images, n) == {
+                p for name_, n_, p in seen if (name_, n_) == (name, n)}
     calls.clear()
     # a later word at the same n reads the images of the pairs seen before
     assert apply_word(6, word, start) == expected[0]
@@ -617,15 +632,46 @@ def test_apply_word_keeps_images_across_words(monkeypatch):
     assert apply_word(6, word[::-1], other) == expected[1]
     assert calls and seen.isdisjoint(calls) and len(calls) == len(set(calls))
 
-    # a kernel patched after the images were kept runs in their place
-    monkeypatch.undo()
-    both = E(3, {(0, (1, 3)): 1, (0, (2, 3)): 1})
-    apply_word(3, ["seidel"], both)
-    kernel = qkig.ring._seidel_pair
-    monkeypatch.setattr(qkig.ring, "_seidel_pair", lambda n, pair: kernel(
-        n, (2, 3) if pair == (1, 3) else pair))
-    with pytest.raises(RuntimeError, match="seidel sent two terms of"):
-        apply_word(3, ["seidel"], both)
+
+def test_apply_word_at_a_new_n_builds_no_basis(monkeypatch):
+    import random
+
+    import qkig.pairs
+    import qkig.ring
+    from qkig.ring import _quantum_chevalley_pair, _seidel_pair
+
+    n, top = 61, 122
+    rng = random.Random(61)
+    terms = {}
+    while len(terms) < 3:
+        a = rng.randint(1, top - 1)
+        b = rng.randint(a + 1, top)
+        if a + b != top + 1:
+            terms[(rng.randint(0, 2), (a, b))] = rng.choice((-2, -1, 1, 3))
+    word = ["divisor", "seidel", "q", "divisor", ("scalar", -2), "divisor",
+            "seidel", ("q", 2), "divisor"]
+    monkeypatch.setattr(qkig.ring, "_STORES", {})
+    touched = {"divisor": set(), "seidel": set()}
+    for start in (E.unit(n), E(n, terms)):
+        cached = qkig.pairs.basis_list.cache_info().currsize
+        out = apply_word(n, word, start)
+        assert qkig.pairs.basis_list.cache_info().currsize == cached
+        assert out == _fold(n, word, start) and len(out.sorted_terms()) > 3
+        # the pairs each operator letter meets, cancelled terms included
+        keys = set(start._terms)
+        for token in word:
+            kernel = {"divisor": _quantum_chevalley_pair,
+                      "seidel": _seidel_pair}.get(token)
+            if kernel is not None:
+                touched[token] |= {p for _, p in keys}
+                keys = {(d + s, image) for d, p in keys
+                        for s, image, _ in kernel(n, p)}
+            elif token[0] == "q":
+                keys = {(d + (1 if token == "q" else token[1]), p)
+                        for d, p in keys}
+    divisor, shifts = qkig.ring._STORES[n]
+    assert _kept_pairs(divisor, n) == touched["divisor"]
+    assert _kept_pairs(shifts, n) == touched["seidel"]
 
 
 def _every_pair(n):
@@ -639,9 +685,8 @@ def test_kept_images_stay_lean(monkeypatch):
     import qkig.ring
 
     def snapshot():
-        return ({n: {name: (kernel, list(images))
-                     for name, (kernel, images) in store.lists.items()}
-                 for n, store in qkig.ring._STORES.items()},
+        return ({n: [list(images) for images in lists]
+                 for n, lists in qkig.ring._STORES.items()},
                 dict(qkig.ring._TERMS))
 
     apply_word(3, ["divisor", "seidel"], _every_pair(3))
@@ -668,32 +713,14 @@ def test_kept_images_stay_lean(monkeypatch):
         tracemalloc.stop()
     assert kept <= 500_000, kept
     terms = []
-    for n, store in qkig.ring._STORES.items():
-        assert set(store.lists) == {"divisor", "seidel"}
-        for _, images in store.lists.values():
-            # one image per basis pair
-            assert len(images) == len(basis_list(n)) and None not in images
-        terms += [term for image in store.lists["divisor"][1] for term in image]
+    for n, (divisor, shifts) in qkig.ring._STORES.items():
+        # one image per basis pair, at its packed key
+        assert _kept_pairs(divisor, n) == _kept_pairs(shifts, n) == \
+            set(basis_list(n))
+        terms += [term for image in divisor if image is not None
+                  for term in image]
     # equal (offset, coeff) terms held by the stores are one object
     assert len({id(x) for x in terms}) == len(set(terms)) < len(terms)
-
-
-def test_a_patched_kernel_replaces_its_list(monkeypatch):
-    import qkig.ring
-
-    apply_word(4, ["divisor", "seidel"])
-    store = qkig.ring._STORES[4]
-    kernel, old = store.lists["divisor"]
-    monkeypatch.setattr(qkig.ring, "_quantum_chevalley_pair",
-                        lambda n, pair: kernel(n, pair))
-    apply_word(4, ["divisor"])
-    monkeypatch.undo()
-    assert apply_word(4, ["divisor"]) == quantum_chevalley(4, E.unit(4))
-    # one list per operator: the patched kernel's list was replaced, and
-    # the restored kernel's list replaced it in turn
-    assert set(store.lists) == {"divisor", "seidel"}
-    assert store.lists["divisor"][0] is kernel
-    assert store.lists["divisor"][1] is not old
 
 
 # sends (1, 3) where (2, 3) goes, so Seidel is no longer injective on keys
@@ -719,6 +746,7 @@ def test_seidel_is_a_bijection_on_keys(monkeypatch):
     kernel = qkig.ring._seidel_pair
     monkeypatch.setattr(qkig.ring, "_seidel_pair", lambda n, pair: kernel(
         n, (2, 3) if pair == (1, 3) else pair))
+    monkeypatch.setattr(qkig.ring, "_STORES", {})
     both = E(3, {(0, (1, 3)): 1, (0, (2, 3)): 1})
     # coefficients that cancel on the shared key must raise as well
     cancelling = E(3, {(0, (1, 3)): 1, (0, (2, 3)): -1})
@@ -769,6 +797,7 @@ def test_apply_word_seidel_collision_message_matches_seidel(monkeypatch):
     kernel = qkig.ring._seidel_pair
     monkeypatch.setattr(qkig.ring, "_seidel_pair", lambda n, pair: kernel(
         n, (2, 3) if pair == (1, 3) else pair))
+    monkeypatch.setattr(qkig.ring, "_STORES", {})
     # (1, 3) and (2, 3) both occur in D * O_{2,4}, a mid-word element
     for word, start, before in (
             (["seidel"], E(3, {(0, (1, 3)): 1, (0, (2, 3)): 1}), None),
