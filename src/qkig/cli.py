@@ -58,6 +58,9 @@ def _emit_json(obj):
 def _default_seed(args):
     if args.seed is not None:
         return args.seed
+    keys = verify.SUITES if args.suite == "all" else [args.suite]
+    if not any("seed" in verify.SUITES[key][2] for key in keys):
+        return 0  # QKIG_SEED is the default of the randomized suites alone
     text = os.environ.get("QKIG_SEED", "0")
     try:
         return int(text)
@@ -196,13 +199,6 @@ def cmd_table(args):
 
 
 def build_parser(command=None):
-    parser = argparse.ArgumentParser(
-        prog="qkig",
-        description="Exact products and curve neighborhoods for the quantum "
-                    "K-theory of the symplectic Grassmannian of lines "
-                    "IG(2, 2n).")
-    # an explicit prog spares argparse formatting a usage line to find it
-    sub = parser.add_subparsers(dest="command", required=True, prog="qkig")
     n = ("--n", {"type": int, "required": True,
                  "help": "ambient parameter n >= 2 for IG(2, 2n)"})
     as_json = ("--json", {"action": "store_true"})
@@ -249,22 +245,34 @@ def build_parser(command=None):
           ("--format", {"default": "text", "choices": ["json", "text"]})]),
     ]
     names = [row[0] for row in commands]
-    if command in names:  # build that command's subparser alone
-        # the metavar keeps the top-level usage listing every command; in
-        # the full build it would reword the "required: command" error
-        sub.metavar = "{" + ",".join(names) + "}"
-        commands = [commands[names.index(command)]]
+    if command in names:  # that command's parser alone, as add_parser nests it
+        commands, sub = [commands[names.index(command)]], None
+    else:
+        parser = argparse.ArgumentParser(
+            prog="qkig",
+            description="Exact products and curve neighborhoods for the "
+                        "quantum K-theory of the symplectic Grassmannian of "
+                        "lines IG(2, 2n).")
+        # an explicit prog spares argparse formatting a usage line to find it
+        sub = parser.add_subparsers(dest="command", required=True, prog="qkig")
     for name, fn, help_text, options in commands:
-        p = sub.add_parser(name, help=help_text)
+        p = (argparse.ArgumentParser(prog=f"qkig {name}") if sub is None
+             else sub.add_parser(name, help=help_text))
         p.set_defaults(fn=fn, parser=p)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
-    return parser
+    return p if sub is None else parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    parser = build_parser(argv[0] if argv else None)
+    if parser.get_default("fn") is None:  # argv[0] names no command
+        args = parser.parse_args(argv)
+    else:  # the call the full parser's subparsers action makes
+        args, rest = parser.parse_known_args(argv[1:])
+        if rest:  # the full parser's "unrecognized arguments" error
+            args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
         # a handler returns its exit code, or the ring element to print

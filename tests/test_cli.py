@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from qkig import cli
 from qkig.cli import EXIT_BROKEN_PIPE, build_parser, main
 from qkig.pairs import _c1, _c2, basis_list, divisor_pair, seidel_pair
 from qkig.ring import RingElement, apply_word, quantum_chevalley, seidel
@@ -264,6 +265,17 @@ def test_verify_seed_env_override(capsys, monkeypatch):
     assert "'seed': 9" in out  # explicit flag wins
     monkeypatch.setenv("QKIG_SEED", "abc")
     code, out, err = run(capsys, ["verify", "--suite", "bruhat", "--n-max", "2"])
+    assert code == 2 and out == ""
+    assert "QKIG_SEED must be an integer, got 'abc'" in err
+
+
+def test_verify_seedless_suites_ignore_seed_env(capsys, monkeypatch):
+    # QKIG_SEED is the default seed of the randomized suites alone
+    monkeypatch.setenv("QKIG_SEED", "abc")
+    code, out, err = run(capsys, ["verify", "--suite", "brion", "--n-max", "3"])
+    assert (code, err) == (0, "")
+    assert out.startswith("brion: ok (") and "seed" not in out
+    code, out, err = run(capsys, ["verify", "--suite", "all", "--n-max", "3"])
     assert code == 2 and out == ""
     assert "QKIG_SEED must be an integer, got 'abc'" in err
 
@@ -536,21 +548,26 @@ _PARSER = [
 ]
 
 
-def _subparser_rows(parser):
+def _subparsers(parser):
     [sub] = [a for a in parser._actions
              if isinstance(a, argparse._SubParsersAction)]
     assert (sub.dest, sub.required) == ("command", True)
-    got = []
-    for choice in sub._choices_actions:
-        p = sub.choices[choice.dest]
-        assert p.get_default("parser") is p
-        got.append((choice.dest, choice.help,
-                    p.get_default("fn").__name__, p.format_usage(),
-                    [(a.option_strings, a.dest, a.required, a.default,
-                      a.choices, getattr(a.type, "__name__", None), a.help,
-                      type(a).__name__) for a in p._actions]))
-    assert list(sub.choices) == [row[0] for row in got]
-    return got
+    assert list(sub.choices) == [c.dest for c in sub._choices_actions]
+    return sub
+
+
+def _command_row(name, help_text, p):
+    assert p.get_default("parser") is p
+    return (name, help_text, p.get_default("fn").__name__, p.format_usage(),
+            [(a.option_strings, a.dest, a.required, a.default, a.choices,
+              getattr(a.type, "__name__", None), a.help, type(a).__name__)
+             for a in p._actions])
+
+
+def _subparser_rows(parser):
+    sub = _subparsers(parser)
+    return [_command_row(c.dest, c.help, sub.choices[c.dest])
+            for c in sub._choices_actions]
 
 
 def test_parser_options_are_pinned(monkeypatch):
@@ -564,12 +581,18 @@ def test_parser_options_are_pinned(monkeypatch):
         "richardson-expand,verify,table}\n"
         "            ...\n")
     assert _subparser_rows(parser) == _PARSER
-    # main builds only the invoked command's parser; argparse's top-level
-    # errors still print the usage line that lists every command
+    # main parses a named command with that command's parser alone, which
+    # is the full parser's subparser for it: options, usage and help
+    nested = _subparsers(parser).choices
     for row in _PARSER:
-        one = build_parser(row[0])
-        assert _subparser_rows(one) == [row]
-        assert one.format_usage() == parser.format_usage()
+        name, help_text = row[:2]
+        one = build_parser(name)
+        assert one.prog == nested[name].prog == f"qkig {name}"
+        assert not any(isinstance(a, argparse._SubParsersAction)
+                       for a in one._actions)
+        assert _command_row(name, help_text, one) == row
+        assert one.format_usage() == nested[name].format_usage()
+        assert one.format_help() == nested[name].format_help()
 
 
 def _surface_argvs():
@@ -655,3 +678,74 @@ def test_cli_outputs_beyond_golden_are_pinned(capsys, monkeypatch):
     assert codes == {0, 2, 3}
     assert digest.hexdigest() == (
         "0cbc90dc2e9fad9b31c7ef491cf3cfb7a66234351e1de3d0b6b56030350d0429")
+
+
+# argparse's own edge cases: help after a command, leftovers, abbreviations,
+# "--", repeated and missing values, bad choices and top-level errors
+_EDGE_ARGVS = [
+    ["basis", "-h"], ["gamma", "-h"], ["verify", "--help"], ["-h"],
+    ["--help"], ["-h", "basis"], ["--bogus"], ["bogus"], ["BASIS"], [],
+    ["--n", "3"],
+    ["mul-divisor", "--n", "3", "--pair", "1,2", "--bogus"],
+    ["mul-divisor", "--n", "3", "--pair", "1,2", "stray"],
+    ["basis", "--n", "3", "--js"], ["basis", "--n", "3", "--he"],
+    ["mul-divisor", "--n", "3", "--p", "1,2"],
+    ["gamma", "--n", "3", "--u", "1,3", "--v", "3,5", "--deg", "2", "--b"],
+    ["basis", "--", "--n", "3"], ["--", "basis", "--n", "3"],
+    ["basis", "--n", "3", "--json", "--", "x"], ["basis", "--n", "3", "-x"],
+    ["basis", "--n", "3", "--n", "2"], ["basis", "--n"], ["basis", "--json"],
+    ["table", "--n", "3", "--op", "bad"], ["verify", "--suite", "nope"],
+    ["basis", "--n=3"], ["basis", "-n", "3"],
+    ["mul-seidel", "--n", "3", "--pair", "1,3", "--json", "--json"],
+    ["table", "--n", "2", "--op", "divisor", "--format", "json", "extra"],
+]
+
+
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch):
+    # every call gives the exit code, stdout and stderr of parsing it with
+    # the full parser, build_parser().parse_args(argv), and the same
+    # dispatch; one full parser serves a pass, as a parse leaves it unchanged
+    argvs = [*_surface_argvs(), *_EDGE_ARGVS]
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = [_run_any(capsys, list(argv)) for argv in argvs]
+        full = build_parser()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda command=None: full)
+            want = [_run_any(capsys, list(argv)) for argv in argvs]
+        for argv, one, whole in zip(argvs, got, want):
+            assert one == whole, (columns, argv)
+
+
+def test_a_named_command_builds_its_parser_alone(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, out, _ = _run_any(capsys, ["mul-divisor", "--n", "3", "--pair",
+                                     "1,2"])
+    assert code == 0 and out
+    assert built == ["qkig mul-divisor"]
+    # leftover arguments and an empty argv reach the full parser
+    every = ["qkig", *(f"qkig {row[0]}" for row in _PARSER)]
+    built.clear()
+    code, _, err = _run_any(capsys, ["basis", "--n", "3", "--pair", "1,2"])
+    assert code == 2
+    assert err.endswith("\nqkig: error: unrecognized arguments: --pair 1,2\n")
+    assert built == ["qkig basis", *every]
+    built.clear()
+    code, _, err = _run_any(capsys, [])
+    assert code == 2
+    assert err.endswith("\nqkig: error: the following arguments are "
+                        "required: command\n")
+    assert built == every
+    # the handler is looked up when the parser is built, so a rebound
+    # module attribute is the one that runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_basis", lambda args: seen.append(args.n))
+    assert main(["basis", "--n", "2"]) is None
+    assert seen == [2]
