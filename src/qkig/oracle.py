@@ -2,22 +2,22 @@
 
 Points of IG(2, 2n) are rank-2 row spaces of 2 x 2n integer matrices.  A
 ``Plane2`` keeps the rows it was built from and computes its canonical
-primitive-integer form on first use; every query that does not depend on
-the basis reads the generators (see ``Plane2``).  Every arithmetic step is
-exact integer arithmetic; ranks, meets and orthogonals come from the
-fraction-free elimination of ``linalg``, with three shortcuts: the rank of
-two rows is read off their 2 x 2 minors, ``gram_rank`` reads the
-symplectic rank of two planes off one Pfaffian, and a membership trial
-reduces z's generators against its echelon span once and reads both
-dim(V_x + V_y + V_z) and the degree-3 meet off the residues.  An opposite
-Schubert variety or cell is the standard one in reversed coordinates.  The
-constructions mirror the curve-chain arguments behind the closed formulas:
-two-line chains through general points, degree-3 and degree-4 witnesses
-drawn inside V_x + V_y, Richardson and line points built from flag
-intersections.  Constructors only build; the
-public ``verify_*`` functions check a witness against the incidence and
-isotropy conditions it claims, and ``membership_suite`` runs each check
-once, comparing the outcomes with the point-pair criteria of
+primitive-integer form on first use; every query that does not depend on the
+basis reads the generators (see ``Plane2``), and the oracle builds its own
+planes unchecked, with ``Plane2._from_gens``.  All arithmetic is exact
+integer arithmetic; ranks, meets and orthogonals come from the fraction-free
+elimination of ``linalg``, with shortcuts: the rank and the rref of two rows
+are read off their 2 x 2 minors, ``gram_rank`` reads the symplectic rank of
+two planes off one Pfaffian, it and the degree-3 pairing read omega(u, v)
+as u.Jv, one J-transform per generator, and a membership trial reduces z's
+generators against its echelon span once and reads both dim(V_x + V_y + V_z)
+and the degree-3 meet off the residues.  The constructions mirror the
+curve-chain arguments behind the closed formulas: two-line chains through
+general points, degree-3 and degree-4 witnesses drawn inside V_x + V_y,
+Richardson and line points built from flag intersections.  Constructors only
+build; the public ``verify_*`` functions check a witness against the
+incidence and isotropy conditions it claims, and ``membership_suite`` runs
+each check once, comparing the outcomes with the point-pair criteria of
 ``neighborhoods.gamma_point_pair``.
 
 Randomness is always seeded; suite reports embed the seed for exact replay.
@@ -26,7 +26,7 @@ Randomness is always seeded; suite reports embed the seed for exact replay.
 import random
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import mul, neg
 
 from .linalg import nullspace, primitive_int_row, rank, row_basis, rref, stack
 from .neighborhoods import gamma_point_pair
@@ -44,11 +44,14 @@ class SamplingError(RuntimeError):
     """A seeded sampler exhausted its retry budget."""
 
 
+def _j(n, v):
+    """Jv = (v_{2n-1}, ..., v_n, -v_{n-1}, ..., -v_0): omega(u, v) = u.Jv."""
+    return [*v[:n - 1:-1], *map(neg, v[n - 1::-1])]
+
+
 def omega(n, u, v):
     """Value of the symplectic form on two coordinate vectors."""
-    # pairs u_i with v_{2n-1-i} for i < n, both factors sliced at C level
-    return (sum(map(mul, u[:n], v[2 * n - 1:n - 1:-1]))
-            - sum(map(mul, u[2 * n - 1:n - 1:-1], v[:n])))
+    return sum(map(mul, u, _j(n, v)))
 
 
 def _independent(u, v):
@@ -62,17 +65,28 @@ def _rank2(u, v):
     return _independent(u, v) + (any(u) or any(v))
 
 
+def _rref2(a, b):
+    """rref of two independent rows from their 2 x 2 minors m_ik: pivots at
+    the first column i where a or b is nonzero and the first j, m_ij != 0."""
+    i = next(k for k, (x, y) in enumerate(zip(a, b)) if x or y)
+    j = next(k for k in range(i + 1, len(a)) if a[i] * b[k] - b[i] * a[k])
+    return (primitive_int_row([b[j] * x - a[j] * y for x, y in zip(a, b)]),
+            primitive_int_row([a[i] * y - b[i] * x for x, y in zip(a, b)]))
+
+
 class Plane2:
     """An exact rank-2 row space in the 2n-dimensional ambient space.
 
     ``gens`` are two independent integer rows spanning it.  ``rows``, the
-    canonical basis (reduced echelon, primitive integers), is computed on
-    first use and kept; equality, hashing, ``repr``, ``matrix`` and the
-    constructions whose output depends on the basis read it, so two planes
-    are equal iff they have the same row space.  Isotropy, ``dim_sum``,
-    ``dim_intersect``, ``gram_rank``, ``in_schubert``, the cell profile
-    check and a membership trial's residues read ``gens``.  Isotropy is a
-    property to test, not an invariant of the type.
+    canonical basis (reduced echelon, primitive integers), is read off the
+    2 x 2 minors of ``gens`` on first use and kept; equality, hashing,
+    ``repr``, ``matrix`` and the constructions whose output depends on the
+    basis read it, so two planes are equal iff they have the same row
+    space.  Isotropy, ``dim_sum``, ``dim_intersect``, ``gram_rank``,
+    ``in_schubert``, the cell profile check and a membership trial's
+    residues read ``gens``.  Isotropy is a property to test, not an
+    invariant of the type.  The constructor checks its rows;
+    ``_from_gens`` trusts two rows the oracle has shown independent.
     """
 
     __slots__ = ("n", "gens", "_rows")
@@ -93,10 +107,17 @@ class Plane2:
         self.n = n
         self.gens = gens
 
+    @classmethod
+    def _from_gens(cls, n, a, b):
+        """Plane on two independent rows of length 2n, unchecked."""
+        self = cls.__new__(cls)
+        self.n, self.gens, self._rows = n, (tuple(a), tuple(b)), None
+        return self
+
     @property
     def rows(self):
         if self._rows is None:
-            self._rows = rref(self.gens)
+            self._rows = _rref2(*self.gens)
         return self._rows
 
     def is_isotropic(self):
@@ -132,15 +153,16 @@ def gram_rank(n, x, y):
 
     Their 4 x 4 antisymmetric Gram matrix has even rank and det = Pf^2, so
     rank 4 iff Pf = ab.cd - ac.bd + ad.bc is nonzero, else 2 iff some entry
-    is.  For raw rows, take ``linalg.rank`` of their Gram matrix.
+    uv = u.Jv is.  For raw rows, take ``linalg.rank`` of their Gram matrix.
     """
     if not x.n == y.n == n:
         dim_sum(x, y)  # raises for planes of different n
         raise GeometryError(f"planes lie in IG(2, 2n) for n = {x.n}, "
                             f"not n = {n}")
     a, b, c, d = *x.gens, *y.gens
-    ab, ac, ad = omega(n, a, b), omega(n, a, c), omega(n, a, d)
-    bc, bd, cd = omega(n, b, c), omega(n, b, d), omega(n, c, d)
+    jb, jc, jd = _j(n, b), _j(n, c), _j(n, d)
+    ab, ac, ad, bc, bd, cd = (sum(map(mul, u, v)) for u, v in (
+        (a, jb), (a, jc), (a, jd), (b, jc), (b, jd), (c, jd)))
     if ab * cd - ac * bd + ad * bc:
         return 4
     return 2 if ab or ac or ad or bc or bd or cd else 0
@@ -207,14 +229,17 @@ def _partner_plane(n, a, candidate, within=None):
 
     b is ``candidate`` or, when c = omega(a, candidate) is nonzero,
     d.candidate - c.u for the first u in ``within`` (basis vectors; default
-    the ambient coordinates) with d = omega(a, u) nonzero.  Either way
-    omega(a, b) = 0 (d.c - c.d), so the plane is isotropic.  None when no
-    such u exists, or when b is zero or parallel to a.
+    the ambient e_j, where d = -(Ja)_j) with d = omega(a, u) nonzero.
+    Either way omega(a, b) = 0 (d.c - c.d), so the plane is isotropic.
+    None when no such u exists, or when b is zero or parallel to a.
     """
     b = candidate
     c = omega(n, a, candidate)
-    if c != 0:
-        for u in _unit_rows(2 * n, range(2 * n)) if within is None else within:
+    if c != 0 and within is None:  # a is nonzero, so some e_j pairs with it
+        j, d = next((j, -x) for j, x in enumerate(_j(n, a)) if x)
+        b = [d * x - c * (k == j) for k, x in enumerate(candidate)]
+    elif c != 0:
+        for u in within:
             d = omega(n, a, u)
             if d != 0:
                 b = [d * x - c * y for x, y in zip(candidate, u)]
@@ -223,7 +248,7 @@ def _partner_plane(n, a, candidate, within=None):
             return None  # a pairs to zero with the whole span; candidate unusable
     if not _independent(a, b):  # b is zero or parallel to a
         return None
-    return Plane2(n, [a, b])
+    return Plane2._from_gens(n, a, b)
 
 
 def random_isotropic_plane(n, seed=None, rng=None):
@@ -295,7 +320,7 @@ def chain2_through(x, y):
     b = [c1 * p - c0 * q for p, q in zip(r0, r1)]
     if not any(b):
         raise GeometryError("degenerate pairing against V_y")
-    return Plane2(n, [a, b])
+    return Plane2._from_gens(n, a, b)  # V_x, V_y transverse: a, b independent
 
 
 def verify_two_line_chain(x, y, t):
@@ -312,8 +337,8 @@ def _gamma3_in_span(n, span, z, residues):
     with a vector of the span omega-orthogonal to V_z.  With (r_u, c_u) and
     (r_w, c_w) the ``residues`` of z's generators u, w against ``span``,
     a.r_u + b.r_w = 0 gives the meet vector a.c_u.u + b.c_w.w; if both
-    vanish, V_z lies in the span and its first rref row vanishes in its
-    second pivot column q.  v is primitive and the slice an rref, so
+    vanish, V_z lies in the span and v is its first rref row.  v is
+    primitive and the slice an rref (from minors when it is a plane), so
     neither depends on the basis of ``span``."""
     (ru, cu), (rw, cw) = residues
     if _rank2(ru, rw) == 2:
@@ -321,18 +346,18 @@ def _gamma3_in_span(n, span, z, residues):
     u, w = z.gens
     k = next((j for j, x in enumerate(ru) if x), None)
     if k is None and not any(rw):
-        p = next(j for j, (a, b) in enumerate(zip(u, w)) if a or b)
-        q = next(j for j in range(p + 1, 2 * n) if u[p] * w[j] - w[p] * u[j])
-        a, b = w[q], -u[q]
+        v = z.rows[0]
     else:
         a, b = (1, 0) if k is None else (rw[k] * cu, -ru[k] * cw)
-    v = primitive_int_row([a * s + b * t for s, t in zip(u, w)])
+        v = primitive_int_row([a * s + b * t for s, t in zip(u, w)])
     # c . span lies in the omega-orthogonal of V_z iff c kills this pairing
-    pairing = [[omega(n, s, r) for s in span] for r in z.gens]
-    orth = rref([[sum(map(mul, c, col)) for col in zip(*span)]
-                 for c in nullspace(pairing)])
+    pairing = [[sum(map(mul, s, jr)) for s in span]
+               for jr in (_j(n, u), _j(n, w))]
+    orth = [[sum(map(mul, c, col)) for col in zip(*span)]
+            for c in nullspace(pairing)]
+    orth = _rref2(*orth) if len(orth) == 2 else rref(orth)
     # the slice has dimension >= 2, so some row is independent of v
-    return Plane2(n, [v, next(c for c in orth if _independent(v, c))])
+    return Plane2._from_gens(n, v, next(c for c in orth if _independent(v, c)))
 
 
 def verify_gamma3_witness(x, y, z, t):

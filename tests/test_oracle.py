@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qkig.linalg import (
     intersect_rowspaces,
@@ -710,19 +710,27 @@ def test_seeded_membership_reports_are_pinned():
 
 
 def test_membership_suite_reduces_only_canonical_forms(monkeypatch):
-    # planes are put in canonical form only where the basis matters: the
-    # trial span, the chain's first row, the degree-3 orthogonal slice
+    # a trial builds its planes with the trusted constructor and reads the
+    # canonical rows it needs (the trial span, the chain's first row, the
+    # degree-3 orthogonal slice) off 2 x 2 minors, so it neither re-checks
+    # a plane nor runs rref
     import qkig.oracle as oracle
     calls = []
+    init = Plane2.__init__
 
     def counting_rref(rows):
-        calls.append(len(rows))
+        calls.append(("rref", len(rows)))
         return rref(rows)
 
+    def counting_init(plane, n, rows):
+        calls.append(("Plane2", n))
+        init(plane, n, rows)
+
     monkeypatch.setattr(oracle, "rref", counting_rref)
+    monkeypatch.setattr(Plane2, "__init__", counting_init)
     reports = [membership_suite(n, 10, 3) for n in (2, 3, 4)]
     assert all(not r["failures"] for r in reports)
-    assert len(calls) <= 150  # one per plane built, 410, before
+    assert calls == []  # 340 Plane2 and 130 rref calls, before
 
 
 def test_membership_suite_intersects_no_row_spaces(monkeypatch):
@@ -844,6 +852,30 @@ def test_omega_matches_index_formula(data):
     expected = sum(u[i] * v[2 * n - 1 - i] - u[2 * n - 1 - i] * v[i]
                    for i in range(n))
     assert omega(n, u, v) == omega(n, tuple(u), tuple(v)) == expected
+    # omega(u, v) = u . Jv, the form gram_rank and the degree-3 pairing use
+    from qkig.oracle import _j
+    for jv in (_j(n, v), _j(n, tuple(v))):
+        assert sum(x * y for x, y in zip(u, jv, strict=True)) == expected
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.data())
+def test_rref2_matches_rref(data):
+    # the canonical rows of two independent rows, read off their 2 x 2
+    # minors, are the elimination kernel's rref: with leading zero columns,
+    # negative leading entries and entries of 2^100 and more
+    from qkig.oracle import _rref2
+    width = data.draw(st.integers(2, 12))
+    lead = data.draw(st.integers(0, width - 2))
+    entry = st.one_of(_ENTRIES, st.integers(-2**110, 2**110),
+                      st.sampled_from([2**100, -2**100, 3 * 2**101 + 1]))
+    tail = st.lists(entry, min_size=width - lead, max_size=width - lead)
+    a, b = ([0] * lead + data.draw(tail) for _ in "ab")
+    if data.draw(st.booleans()):  # a negative leading entry
+        first = next((k for k, x in enumerate(a) if x), 0)
+        a[first] = -abs(a[first]) or -1
+    assume(rank([a, b]) == 2)
+    assert _rref2(a, b) == _rref2(b, a) == rref([a, b])
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5])
